@@ -17,11 +17,11 @@
 #include <string>
 #include <vector>
 
+#include "exp/engine.hpp"
 #include "sets/bitset_rank_set.hpp"
 #include "sets/fenwick_rank_set.hpp"
 #include "sets/ostree.hpp"
 #include "sets/rank_select.hpp"
-#include "sim/harness.hpp"
 #include "util/prng.hpp"
 
 #if __has_include("sets/word_ops.hpp")
@@ -157,16 +157,26 @@ void BM_EraseSelect(benchmark::State& state) {
                           static_cast<std::int64_t>(universe / 2));
 }
 
+/// The engine's name for each FREE-set representation benched here.
+template <class S>
+constexpr exp::free_set_kind free_set_of = exp::free_set_kind::bitset;
+template <>
+constexpr exp::free_set_kind free_set_of<fenwick_rank_set> =
+    exp::free_set_kind::fenwick;
+template <>
+constexpr exp::free_set_kind free_set_of<ostree> = exp::free_set_kind::ostree;
+
 template <class S>
 void BM_EndToEndKk(benchmark::State& state) {
   const usize n = static_cast<usize>(state.range(0));
   const usize m = 8;
   for (auto _ : state) {
-    sim::kk_sim_options opt;
+    exp::run_spec opt;
     opt.n = n;
     opt.m = m;
+    opt.free_set = free_set_of<S>;
     sim::round_robin_adversary adv;
-    const auto r = sim::run_kk<S>(opt, adv);
+    const auto r = exp::run(opt, adv);
     if (!r.at_most_once) state.SkipWithError("duplicate");
     benchmark::DoNotOptimize(r.effectiveness);
   }

@@ -1,5 +1,6 @@
 #include "exp/colfmt.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <charconv>
@@ -111,7 +112,14 @@ struct cursor {
     pos += n;
     return p;
   }
+
+  void skip(usize n) { pos += n; }
 };
+
+/// Row cap for a chunk of the given width (colfmt_max_chunk_values).
+[[nodiscard]] std::uint64_t max_chunk_rows(usize columns) {
+  return colfmt_max_chunk_values / std::max<usize>(columns, 1);
+}
 
 // --- schema metadata ------------------------------------------------------
 
@@ -235,11 +243,19 @@ std::uint8_t classify_column(const std::vector<const record*>& rows, usize col) 
 // --- chunk encode ---------------------------------------------------------
 
 /// Encodes one chunk (magic..checksum) for rows that already passed the
-/// schema check. False only when a verbatim token would not re-parse.
+/// schema check. False when the chunk exceeds the row cap or a verbatim
+/// token would not re-parse.
 bool encode_chunk_bytes(const std::vector<const record*>& rows,
                         const std::vector<std::string>& columns,
                         std::uint64_t cell, std::string& out,
                         std::string& error) {
+  if (rows.size() > max_chunk_rows(columns.size())) {
+    error = "a chunk of " + std::to_string(rows.size()) + " rows x " +
+            std::to_string(columns.size()) + " columns exceeds the " +
+            std::to_string(colfmt_max_chunk_values) +
+            "-value chunk cap (docs/record_format.md)";
+    return false;
+  }
   out.clear();
   out.append(kChunkMagic, sizeof kChunkMagic);
   put_u32(out, 0);  // chunk_bytes, patched below
@@ -353,12 +369,28 @@ std::vector<std::pair<usize, usize>> chunk_ranges(
 // --- chunk decode ---------------------------------------------------------
 
 /// Decodes one chunk slice (magic..checksum, checksum already verified by
-/// the caller) into records appended to `out`.
+/// the caller) into records appended to `out`. `owed` is how many records
+/// the checksummed header still promises; the row count is checked against
+/// it and the row cap before anything is allocated.
 bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
                          const std::vector<std::string>& columns,
-                         std::vector<record>& out, std::string& error) {
+                         std::uint64_t owed, std::vector<record>& out,
+                         std::string& error) {
   cursor cur{chunk, kChunkFixed, base, {}};
   const std::uint32_t rows = get_u32(chunk.data() + 16);
+  if (rows > owed) {
+    error = "offset " + std::to_string(base + 16) + ": chunk declares " +
+            std::to_string(rows) + " rows but the header owes only " +
+            std::to_string(owed) + " more records";
+    return false;
+  }
+  if (rows > max_chunk_rows(columns.size())) {
+    error = "offset " + std::to_string(base + 16) + ": chunk declares " +
+            std::to_string(rows) + " rows x " +
+            std::to_string(columns.size()) + " columns, above the " +
+            std::to_string(colfmt_max_chunk_values) + "-value chunk cap";
+    return false;
+  }
 
   const usize start = out.size();
   out.resize(start + rows);
@@ -370,7 +402,7 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
     switch (tag) {
       case kTagU64: {
         if (!cur.need(16 + usize{rows} * 8, "a u64 column block")) break;
-        cur.take(16);  // min/max: advisory statistics, not re-validated
+        cur.skip(16);  // min/max: advisory statistics, not re-validated
         for (usize r = 0; r < rows; ++r) {
           const std::uint64_t v = get_u64(cur.take(8));
           record_field& f = out[start + r].fields[c];
@@ -383,7 +415,7 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
       }
       case kTagF64: {
         if (!cur.need(16 + usize{rows} * 8, "an f64 column block")) break;
-        cur.take(16);
+        cur.skip(16);
         for (usize r = 0; r < rows; ++r) {
           const double v = get_f64(cur.take(8));
           record_field& f = out[start + r].fields[c];
@@ -462,7 +494,7 @@ bool decode_chunk_blocks(std::string_view chunk, std::uint64_t base,
 /// Validates the chunk frame (magic, length already bounds-checked by the
 /// caller, checksum) then decodes the blocks. `chunk` spans magic..checksum.
 bool decode_chunk(std::string_view chunk, std::uint64_t base,
-                  const std::vector<std::string>& columns,
+                  const std::vector<std::string>& columns, std::uint64_t owed,
                   std::vector<record>& out, std::string& error) {
   if (std::memcmp(chunk.data(), kChunkMagic, sizeof kChunkMagic) != 0) {
     error = "offset " + std::to_string(base) +
@@ -478,7 +510,7 @@ bool decode_chunk(std::string_view chunk, std::uint64_t base,
             ", computed " + fnv_hex64(computed) + ") (corrupted .amoc file?)";
     return false;
   }
-  return decode_chunk_blocks(chunk, base, columns, out, error);
+  return decode_chunk_blocks(chunk, base, columns, owed, out, error);
 }
 
 /// Parses + validates a complete header image laid out at file offset 0.
@@ -663,7 +695,8 @@ parse_result colfmt_decode(std::string_view bytes) {
       break;
     }
     if (!decode_chunk(bytes.substr(pos, chunk_bytes), pos, h.columns,
-                      out.records, out.error)) {
+                      h.record_count - out.records.size(), out.records,
+                      out.error)) {
       break;
     }
     pos += chunk_bytes;
@@ -849,7 +882,8 @@ bool colfmt_reader::next_chunk(std::vector<record>& out, bool& end,
     error = path_ + ": " + error;
     return false;
   }
-  if (!decode_chunk(buf, offset_, header_.columns, out, error)) {
+  if (!decode_chunk(buf, offset_, header_.columns,
+                    header_.record_count - records_seen_, out, error)) {
     error = path_ + ": " + error;
     return false;
   }
@@ -857,10 +891,9 @@ bool colfmt_reader::next_chunk(std::vector<record>& out, bool& end,
   ++chunks_seen_;
   records_seen_ += out.size();
   obs::counter("merge", "chunks_read", static_cast<double>(chunks_seen_));
-  if (chunks_seen_ > header_.chunk_count ||
-      records_seen_ > header_.record_count) {
+  if (chunks_seen_ > header_.chunk_count) {
     error = path_ + ": offset " + std::to_string(offset_) +
-            ": more chunks/records than the header declares";
+            ": more chunks than the header declares";
     return false;
   }
   return true;

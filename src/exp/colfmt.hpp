@@ -45,6 +45,12 @@ enum class record_format : std::uint8_t { json, colfmt };
 /// must reject any other major version (docs/record_format.md).
 inline constexpr std::uint16_t colfmt_version = 1;
 
+/// The per-chunk row cap, stated as a value count: a chunk's row_count
+/// times max(1, column_count) must not exceed it. Writers refuse a larger
+/// chunk and readers reject one before allocating its records, so a tiny
+/// crafted chunk (zero or null columns) cannot demand billions of rows.
+inline constexpr std::uint64_t colfmt_max_chunk_values = std::uint64_t{1} << 20;
+
 /// The 4-byte file magic; a buffer/file starting with anything else is
 /// not a .amoc file (the sniff every loader uses).
 [[nodiscard]] bool is_colfmt(std::string_view bytes);

@@ -16,7 +16,6 @@
 #include "mem/sim_memory.hpp"
 #include "model/dpor.hpp"
 #include "model/explorer.hpp"
-#include "rt/crash_injection.hpp"
 #include "sets/fenwick_rank_set.hpp"
 #include "sets/ostree.hpp"
 #include "sim/scheduler.hpp"
@@ -47,29 +46,37 @@ void harvest_iter(run_report& rep, const std::vector<std::unique_ptr<Proc>>& pro
   rep.crashes = stopped;
 }
 
-rt::crash_plan to_crash_plan(const crash_spec& c) {
+/// True if thread `pid` must take stop_p now, given its observable
+/// progress: evaluated at every action boundary, like the simulation
+/// adversary between transitions. A crashed thread takes no more actions,
+/// so an announced job stays stuck in its next register.
+bool should_crash(const crash_spec& c, process_id pid, const automaton& a) {
   switch (c.what) {
-    case crash_spec::kind::none: return {};
-    case crash_spec::kind::after_actions:
-      return rt::crash_plan::after_actions(c.per_thread);
+    case crash_spec::kind::none:
+      return false;
+    case crash_spec::kind::after_actions: {
+      if (pid > c.per_thread.size()) return false;
+      const usize at = c.per_thread[pid - 1];
+      return at != 0 && a.step_count() >= at;
+    }
     case crash_spec::kind::after_first_announce:
-      return rt::crash_plan::after_first_announce(c.count);
+      return pid <= c.count && a.announce_count() >= 1;
   }
-  return {};
+  return false;
 }
 
 /// The one OS-thread loop: each thread drives its automaton to completion,
-/// checking the crash plan at every action boundary.
+/// checking the crash policy at every action boundary.
 template <class Proc>
 void drive_threads(std::vector<std::unique_ptr<Proc>>& procs,
-                   const rt::crash_plan& plan) {
+                   const crash_spec& crashes) {
   std::vector<std::jthread> threads;
   threads.reserve(procs.size());
   for (process_id pid = 1; pid <= procs.size(); ++pid) {
     Proc* proc = procs[pid - 1].get();
-    threads.emplace_back([proc, pid, &plan] {
+    threads.emplace_back([proc, pid, &crashes] {
       while (proc->runnable()) {
-        if (plan.should_crash(pid, *proc)) {
+        if (should_crash(crashes, pid, *proc)) {
           proc->crash();
           break;
         }
@@ -92,7 +99,7 @@ void drive_scheduled(run_report& rep, std::vector<automaton*> handles,
 }
 
 /// Drives `procs` to completion under the spec's driver: the adversary-
-/// scheduled simulator, or OS threads honoring the spec's crash plan. The
+/// scheduled simulator, or OS threads honoring the spec's crash policy. The
 /// one place the driver dichotomy and the step-limit policy exist: an
 /// explicit spec.max_steps wins; otherwise the defensive default limit,
 /// times `limit_scale` for algorithms that run multiple levels.
@@ -108,7 +115,7 @@ void drive_spec(run_report& rep, std::vector<std::unique_ptr<Proc>>& procs,
                             : sim::default_step_limit(s.n, s.m) * limit_scale;
     drive_scheduled(rep, std::move(handles), *adv, s.crash_budget, limit);
   } else {
-    drive_threads(procs, to_crash_plan(s.crashes));
+    drive_threads(procs, s.crashes);
   }
 }
 

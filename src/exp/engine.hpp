@@ -3,10 +3,9 @@
 // Every way this repository executes the paper's algorithms goes through
 // here: plain KK_beta / IterativeKK(eps) / WA_IterativeKK(eps), over
 // sim_memory or atomic_memory, driven by the Section 2.1 adversary-scheduled
-// simulator or by real OS threads. The four legacy entry points
-// (sim::run_kk, sim::run_iterative, rt::run_kk_threads,
-// rt::run_iterative_threads) are thin wrappers over this function, so the
-// checker / collision-ledger / stats aggregation exists exactly once.
+// simulator or by real OS threads (the public facade in rt/at_most_once.hpp
+// included), so the checker / collision-ledger / stats aggregation exists
+// exactly once.
 //
 // Scheduled runs are deterministic functions of their spec (all randomness
 // is seeded); setting spec.record_trace additionally captures the decision

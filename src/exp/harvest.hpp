@@ -34,7 +34,7 @@ inline void harvest_checker(run_report& rep, const amo_checker& checker) {
 }
 
 /// Aggregates KK_beta per-process tallies; shared by every memory backend
-/// and driver, which is exactly the duplication the legacy harnesses had.
+/// and driver.
 template <class Proc>
 void harvest_kk(run_report& rep, const std::vector<std::unique_ptr<Proc>>& procs) {
   usize stopped = 0;

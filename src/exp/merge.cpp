@@ -1,6 +1,5 @@
 #include "exp/merge.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstring>
@@ -385,14 +384,13 @@ std::unique_ptr<record_source> make_file_source(std::string path) {
 }
 
 merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
-                          const record_sink& sink, merge_schema schema) {
+                          const record_sink& sink) {
   merge_result out;
   const usize k = sources.size();
   obs::span msp("merge", "merge_stream");
   msp.arg("sources", static_cast<std::uint64_t>(k));
 
   merge_ctx ctx;
-  ctx.unit_schema = schema == merge_schema::units;
 
   /// One head record per source — the whole residency of the k-way merge.
   struct head {
@@ -421,7 +419,7 @@ merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
     if ((seen & 1023) == 0) {
       obs::counter("merge", "records_in", static_cast<double>(seen));
     }
-    if (!ctx.first_seen && schema == merge_schema::sniff) {
+    if (!ctx.first_seen) {
       // The first record anywhere decides the schema: a unit record
       // always carries "unit".
       ctx.unit_schema = rec.find("unit") != nullptr;
@@ -594,41 +592,6 @@ merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
     }
   }
   return out;
-}
-
-merge_result merge_shards(const std::vector<std::vector<record>>& shards) {
-  // Schema sniff: the first record decides (a unit record always carries
-  // "unit"); mixing schemas across shards is caught by the chosen path's
-  // field validation.
-  merge_schema schema = merge_schema::sniff;
-  const char* key = "cell";
-  for (const std::vector<record>& shard : shards) {
-    if (shard.empty()) continue;
-    const bool units = shard[0].find("unit") != nullptr;
-    schema = units ? merge_schema::units : merge_schema::cells;
-    key = units ? "unit" : "cell";
-    break;
-  }
-  if (schema == merge_schema::sniff) return {};  // no records: empty success
-
-  // The in-memory contract accepts records in any order; the streaming
-  // fold needs them ascending — pre-sort each shard (stably, so a
-  // same-index duplicate inside one shard keeps its record order).
-  std::vector<std::unique_ptr<record_source>> sources;
-  sources.reserve(shards.size());
-  for (const std::vector<record>& shard : shards) {
-    std::vector<record> sorted = shard;
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [key](const record& a, const record& b) {
-                       usize ia = 0;
-                       usize ib = 0;
-                       read_index(a, key, ia);
-                       read_index(b, key, ib);
-                       return ia < ib;
-                     });
-    sources.push_back(make_memory_source(std::move(sorted)));
-  }
-  return merge_stream(std::move(sources), {}, schema);
 }
 
 bool verify_shard_records(const std::vector<record>& records,

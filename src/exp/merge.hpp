@@ -14,12 +14,10 @@
 // streaming .amoc readers (exp::colfmt_reader) — through a k-way merge
 // that holds one head record per source plus at most one cell's replicas,
 // so a merge over million-unit shard files never materializes a
-// full-sweep record vector. merge_shards is the in-memory front end over
-// the same fold (it pre-sorts each shard, preserving the old any-order
-// contract); file sources must already be index-ascending, which every
-// writer in this repo guarantees.
+// full-sweep record vector. Every source must be index-ascending, which
+// every writer in this repo guarantees (and verify_shard_records checks).
 //
-// The contract is strict in both modes: the shards must agree on the grid
+// The contract is strict: the shards must agree on the grid
 // (fingerprint + sizes), and the union must cover the whole index space
 // with no duplicate and no gap — anything else (a shard run twice, a shard
 // missing, shards from different grids, a cell missing a replica) is an
@@ -72,28 +70,20 @@ class record_source {
 /// with `error`.
 using record_sink = std::function<bool(record&&, std::string& error)>;
 
-/// Which record schema the fold expects; `sniff` lets the first record
-/// pulled decide (a unit record always carries "unit").
-enum class merge_schema : std::uint8_t { sniff, cells, units };
-
 /// The streaming fold: k-way-merges the sources by unit (or legacy cell)
-/// index, validates the grid/coverage contract, folds each complete cell's
+/// index — the first record pulled decides which (a unit record always
+/// carries "unit") — validates the grid/coverage contract, folds each complete cell's
 /// replicas, and emits aggregates — to `sink` when given (records is left
 /// empty), else into merge_result.records. Bounded memory: one head
 /// record per source + one cell's replicas, independent of sweep size.
 merge_result merge_stream(std::vector<std::unique_ptr<record_source>> sources,
-                          const record_sink& sink = {},
-                          merge_schema schema = merge_schema::sniff);
-
-/// Merges the records of several shard files (each element = one file's
-/// parsed records, any order). In-memory front end of merge_stream.
-merge_result merge_shards(const std::vector<std::vector<record>>& shards);
+                          const record_sink& sink = {});
 
 /// Folds ONE cell's unit records (complete, replica order) into the
 /// aggregate record add_cell_records would have emitted — raw tokens of
 /// the base replica pass through, safety flags AND-fold, summaries are
 /// recomputed through exp::stats, wall clocks sum. The byte-identity
-/// kernel both merge paths and bench_records share. False with `error`
+/// kernel merge_stream and bench_records share. False with `error`
 /// when a record lacks a foldable field.
 bool fold_unit_cell(const std::vector<record>& units, record& agg,
                     std::string& error);

@@ -29,7 +29,7 @@ class json_writer {
   /// Shortest round-trip decimal via std::to_chars: locale-independent
   /// (always '.'-separated, whatever LC_NUMERIC says) and value-exact —
   /// parsing the token back yields bit-equal v, which is what lets
-  /// exp::merge_shards re-fold parsed replica records into aggregates
+  /// exp::merge_stream re-fold parsed replica records into aggregates
   /// byte-identical to the in-process fold.
   static std::string num(double v);
   static std::string num(std::uint64_t v) { return std::to_string(v); }
@@ -86,7 +86,7 @@ using extra_fields = std::vector<std::pair<std::string, std::string>>;
 /// then exp::summary_fields, then the cell's summed wall clock (timing
 /// runs only). Aggregate output is always the whole grid (sharded sweeps
 /// emit per-unit records instead), so record i's "cell" index is i and
-/// cells_total is swept.cells.size(). exp::merge_shards rebuilds exactly
+/// cells_total is swept.cells.size(). exp::merge_stream rebuilds exactly
 /// these bytes from per-unit shard records.
 void add_cell_records(json_writer& out, const sweep_result& swept,
                       std::uint64_t grid, bool include_timing = true,

@@ -7,7 +7,7 @@
 // strided partition: balanced even when cell cost varies with grid
 // position, and one expensive cell's replicas spread across shards).
 // Because every unit is a pure function of (its cell's run_spec, its
-// replica index), a sharded sweep followed by exp::merge_shards reproduces
+// replica index), a sharded sweep followed by exp::merge_stream reproduces
 // the unsharded sweep's aggregate records byte-for-byte; the partition
 // itself is pure arithmetic, so any two invocations — on any host — agree
 // on the assignment. shard_indices/shard_cells keep the plain cell-space
@@ -72,7 +72,7 @@ std::vector<unit_ref> shard_units(const std::vector<run_spec>& cells,
 
 /// Order-sensitive 64-bit fingerprint of a whole grid (every spec, in cell
 /// order). Sweep records carry it as the "grid" field, which is how
-/// exp::merge_shards refuses shards of *different* grids even when their
+/// exp::merge_stream refuses shards of *different* grids even when their
 /// cell counts happen to agree. Shard invocations fingerprint the full
 /// grid, not their slice, so all shards of one sweep agree.
 std::uint64_t grid_fingerprint(const std::vector<run_spec>& cells);

@@ -2,9 +2,8 @@
 // execution the repository knows how to produce — algorithm family (KK_beta,
 // IterativeKK, WA_IterativeKK) × memory backend (simulated registers vs
 // std::atomic) × driver (adversary-scheduled single thread vs real OS
-// threads) — and one `run_report` subsumes what the four legacy report
-// structs (`kk_sim_report`, `iter_sim_report`, `thread_run_report`,
-// `iter_thread_report`) used to carry separately.
+// threads) — and one `run_report` carries everything any caller reads
+// back from it.
 //
 // A spec is a plain value: copyable, comparable-by-field, and sufficient to
 // reproduce the execution bit-for-bit when the driver is `scheduled` (all
@@ -34,8 +33,29 @@ enum class algo_family : std::uint8_t {
   wa_iterative,  ///< WA_IterativeKK(eps) — Write-All (Section 7)
 
   // --- baselines (src/baselines/) ---
-  ao2,               ///< [26]-style two-process building block: kk with
-                     ///< selection_rule::two_ends, beta = 1, m = 2 enforced
+
+  /// The prior deterministic algorithm of Kentros, Kiayias, Nicolaou &
+  /// Shvartsman (DISC'09, reference [26] of the paper) as a comparison
+  /// baseline.
+  ///
+  /// What we reproduce measurably: the optimal TWO-process building block.
+  /// Its structure — each process sweeps from its own end of the job array,
+  /// announces before performing, and checks the other's announcement and
+  /// done log — is exactly the KK_beta skeleton with a different
+  /// candidate-selection rule, so the engine runs it as kk with
+  /// selection_rule::two_ends, beta = 1, m = 2 enforced. Lemma 4.1's safety
+  /// proof never uses the rank formula, so at-most-once is inherited;
+  /// effectiveness is n-1 (only the meeting job can be lost), which tests
+  /// verify.
+  ///
+  /// What we do NOT reconstruct: the m-process tournament composition of
+  /// [26]. Its full specification is not contained in the reproduced paper,
+  /// and a from-scratch reinvention has subtle announce-staleness hazards
+  /// that would risk benchmarking an unfaithful strawman. For m > 2 the
+  /// benches plot the effectiveness formula the paper quotes for [26] —
+  /// (n^{1/log m} - 1)^{log m} — clearly labeled "analytic"
+  /// (bounds::kkns_effectiveness). See DESIGN.md substitution #3.
+  ao2,
   tas,               ///< test-and-set executor (RMW, outside the model)
   wa_trivial,        ///< Write-All: everyone writes everything (m*n work)
   wa_split_scan,     ///< Write-All: own block, then help-scan the rest
@@ -90,13 +110,23 @@ struct adversary_spec {
   friend bool operator==(const adversary_spec&, const adversary_spec&) = default;
 };
 
-/// Deterministic crash points for the os_threads driver (mirrors
-/// rt::crash_plan, as a plain value so specs stay copyable/comparable).
+/// Deterministic crash points for the os_threads driver, evaluated at
+/// every action boundary: a crash is the paper's stop_p (the thread takes
+/// no more actions; an announced job stays stuck in its next register).
 struct crash_spec {
-  enum class kind : std::uint8_t { none, after_actions, after_first_announce };
+  enum class kind : std::uint8_t {
+    none,
+    /// Thread p crashes once it has executed per_thread[p-1] actions (0, or
+    /// p beyond the vector, = never).
+    after_actions,
+    /// The Theorem 4.4 pattern: threads 1..count crash right after their
+    /// first announce. A thread that never announces (a TAS thread that
+    /// never wins a claim) never crashes, so count is an upper bound.
+    after_first_announce,
+  };
   kind what = kind::none;
-  std::vector<usize> per_thread;  ///< after_actions: 0 = never crash
-  usize count = 0;                ///< after_first_announce: threads 1..count
+  std::vector<usize> per_thread;  ///< after_actions
+  usize count = 0;                ///< after_first_announce
 
   friend bool operator==(const crash_spec&, const crash_spec&) = default;
 };

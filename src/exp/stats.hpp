@@ -72,7 +72,7 @@ struct cell_stats {
 /// One headline metric: its record-field name, where its fold lands in
 /// cell_stats, and how a replica's run_report samples it. The single table
 /// (summary_metrics) keeps fold_replicas, summary_values and
-/// exp::merge_shards' re-fold structurally in lockstep — adding a metric
+/// exp::merge_stream's re-fold structurally in lockstep — adding a metric
 /// here adds it to all three, so the merge byte-identity cannot silently
 /// lose a field.
 struct summary_metric {
@@ -89,7 +89,7 @@ struct summary_metric {
 /// <metric>_{min,mean,max,stddev,p50,p95} for effectiveness, work,
 /// collisions, steps. summary_values yields the decoded doubles,
 /// summary_fields the same sequence pre-encoded for exp::json_writer —
-/// shared by the sweep emitter and exp::merge_shards so both render
+/// shared by the sweep emitter and exp::merge_stream so both render
 /// bit-equal bytes (and merge's in-memory records keep value and raw in
 /// agreement).
 [[nodiscard]] std::vector<std::pair<std::string, double>> summary_values(

@@ -367,7 +367,7 @@ struct parser {
 
 trace_parse_result parse_trace(std::string_view text) {
   trace_parse_result out;
-  parser ps{text};
+  parser ps{text, 0, {}};
   if (!ps.parse_document(out)) {
     out.error = "malformed trace: " + ps.error;
     out.events.clear();

@@ -22,9 +22,11 @@
 // covered at least once instead (Theorem 7.1).
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <vector>
 
-#include "rt/thread_executor.hpp"
+#include "util/types.hpp"
 
 namespace amo {
 

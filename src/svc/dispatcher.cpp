@@ -525,13 +525,15 @@ dispatch_result dispatch(const std::string& args, const dispatch_options& opt) {
     return out;
   }
 
-  std::vector<std::vector<exp::record>> shard_records;
-  shard_records.reserve(opt.shards);
+  // Every shard's records passed verify_shard_records, so each is already
+  // index-ascending: exactly what the streaming fold consumes.
+  std::vector<std::unique_ptr<exp::record_source>> sources;
+  sources.reserve(opt.shards);
   for (shard_run& run : out.shards) {
-    shard_records.push_back(std::move(run.records));
+    sources.push_back(exp::make_memory_source(std::move(run.records)));
   }
 
-  exp::merge_result merged = exp::merge_shards(shard_records);
+  exp::merge_result merged = exp::merge_stream(std::move(sources));
   if (!merged.ok()) {
     out.error = merged.error;
     out.exit_code = 2;

@@ -1,10 +1,9 @@
 // svc::dispatcher — one command in, k supervised shard processes out, one
 // merged JSON back.
 //
-// PR 3 added the partition/merge layer (`--shard=i/k` + exp::merge_shards)
-// and PR 4 the launch glue; this revision makes the launch glue
-// fault-tolerant. Each shard command runs fork/exec'd into its OWN process
-// group under a wall-clock deadline: when the deadline expires the whole
+// Built on the partition/merge layer (`--shard=i/k` + exp::merge_stream),
+// the launch glue is fault-tolerant. Each shard command runs fork/exec'd
+// into its OWN process group under a wall-clock deadline: when the deadline expires the whole
 // group gets SIGTERM, then (after a grace period) SIGKILL, and the timeout
 // is classified as a hard failure — so a hung shard can never block a
 // dispatch, it just consumes a retry. Abnormal termination is decoded

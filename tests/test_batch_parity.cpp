@@ -26,6 +26,7 @@
 #include "svc/worker_pool.hpp"
 #include "util/fastdiv.hpp"
 #include "util/prng.hpp"
+#include "memory_merge.hpp"
 
 namespace amo {
 namespace {
@@ -318,7 +319,7 @@ TEST(BatchSweep, ShardedUnitsMergeByteIdenticallyWithBatchingOn) {
       ASSERT_TRUE(parsed.ok()) << parsed.error;
       shards.push_back(std::move(parsed.records));
     }
-    const exp::merge_result merged = exp::merge_shards(shards);
+    const exp::merge_result merged = testing::merge_memory(shards);
     ASSERT_TRUE(merged.ok()) << "k = " << k << ": " << merged.error;
     EXPECT_EQ(exp::render_records(merged.records), reference) << "k = " << k;
   }

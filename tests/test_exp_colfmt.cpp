@@ -2,11 +2,12 @@
 // every record field INCLUDING the raw source token (so colfmt -> JSON
 // conversion re-emits json_writer's exact bytes), the streaming reader
 // and writer agree byte-for-byte with the buffer codec, the streaming
-// merge over .amoc shard files is byte-identical to the in-memory merge
-// and to the unsharded sweep — and the reader survives hostile input:
+// merge over .amoc shard files is byte-identical to the same merge over
+// memory sources and to the unsharded sweep — and the reader survives hostile input:
 // truncation at EVERY byte boundary, a bit flip at EVERY byte, version
-// skew, and foreign files all fail with a diagnostic, never garbage
-// records or a crash.
+// skew, checksummed chunks claiming more rows than the header owes or the
+// row cap allows, and foreign files all fail with a diagnostic, never
+// garbage records, a crash or a huge allocation.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -22,6 +23,7 @@
 #include "exp/report.hpp"
 #include "svc/server.hpp"
 #include "svc/worker_pool.hpp"
+#include "memory_merge.hpp"
 #include "util/fnv.hpp"
 
 namespace amo {
@@ -230,6 +232,129 @@ TEST(Colfmt, ForeignFilesAreRejectedAtTheMagic) {
   EXPECT_NE(r.error.find("not a .amoc file"), std::string::npos) << r.error;
 }
 
+void put_le(std::string& out, std::uint64_t v, usize bytes) {
+  for (usize b = 0; b < bytes; ++b) {
+    out.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
+  }
+}
+
+/// A hand-built .amoc image with VALID header and chunk checksums: the
+/// header declares `declared` records over `columns` columns (c0, c1, ...),
+/// and one chunk claims `rows` rows whose blocks are all null — zero
+/// payload bytes however many rows the chunk claims.
+std::string crafted_amoc(usize columns, std::uint64_t declared,
+                         std::uint32_t rows) {
+  std::string header = "AMOC";
+  put_le(header, 1, 2);  // version
+  put_le(header, 0, 2);  // flags
+  for (int i = 0; i < 4; ++i) put_le(header, 0, 8);  // grid..replicas
+  put_le(header, declared, 8);
+  put_le(header, 1, 8);  // chunk_count
+  put_le(header, columns, 4);
+  for (usize c = 0; c < columns; ++c) {
+    const std::string name = "c" + std::to_string(c);
+    put_le(header, name.size(), 2);
+    header += name;
+  }
+  put_le(header, fnv1a64(header), 8);
+
+  std::string chunk = "CHNK";
+  put_le(chunk, 0, 4);  // chunk_bytes, patched below
+  put_le(chunk, ~std::uint64_t{0}, 8);  // no cell
+  put_le(chunk, rows, 4);
+  chunk.append(columns, '\x04');  // null blocks
+  const usize total = chunk.size() + 8;
+  for (usize b = 0; b < 4; ++b) {
+    chunk[4 + b] = static_cast<char>((total >> (8 * b)) & 0xff);
+  }
+  put_le(chunk, fnv1a64(chunk), 8);
+  return header + chunk + "AMOCEND\n";
+}
+
+TEST(Colfmt, CraftedImageWithinLimitsDecodes) {
+  // The control for the hostile images below: crafted_amoc with an
+  // honest row count decodes, so their failures are the row checks.
+  const exp::parse_result r = exp::colfmt_decode(crafted_amoc(2, 3, 3));
+  ASSERT_TRUE(r.ok()) << r.error;
+  ASSERT_EQ(r.records.size(), 3u);
+  EXPECT_EQ(r.records[2].fields.size(), 2u);
+}
+
+TEST(Colfmt, ChunkRowsBeyondTheHeaderCountFailBeforeAllocating) {
+  // Zero columns: nothing but the row count bounds the allocation.
+  const exp::parse_result r =
+      exp::colfmt_decode(crafted_amoc(0, 1, 0xFFFFFFFFu));
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("owes only 1 more"), std::string::npos) << r.error;
+
+  // Two honest-looking chunks' worth is still one too many.
+  const exp::parse_result one_over = exp::colfmt_decode(crafted_amoc(1, 4, 5));
+  ASSERT_FALSE(one_over.ok());
+  EXPECT_NE(one_over.error.find("owes only 4 more"), std::string::npos)
+      << one_over.error;
+}
+
+TEST(Colfmt, ChunkRowsAboveTheCapFailBeforeAllocating) {
+  // The header owes 2^40 records, so only the per-chunk cap objects.
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  const exp::parse_result r =
+      exp::colfmt_decode(crafted_amoc(1, huge, 0xFFFFFFFFu));
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("chunk cap"), std::string::npos) << r.error;
+
+  // The cap scales with the schema width: one row past it at 16 columns.
+  const auto rows16 =
+      static_cast<std::uint32_t>(exp::colfmt_max_chunk_values / 16 + 1);
+  const exp::parse_result wide =
+      exp::colfmt_decode(crafted_amoc(16, huge, rows16));
+  ASSERT_FALSE(wide.ok());
+  EXPECT_NE(wide.error.find("chunk cap"), std::string::npos) << wide.error;
+}
+
+TEST(Colfmt, StreamingReaderRejectsCraftedRowCounts) {
+  const std::string path = ::testing::TempDir() + "/crafted.amoc";
+  for (const std::string& bytes :
+       {crafted_amoc(0, 1, 0xFFFFFFFFu),
+        crafted_amoc(1, std::uint64_t{1} << 40, 0xFFFFFFFFu)}) {
+    spit(path, bytes);
+    exp::colfmt_reader reader;
+    std::string error;
+    ASSERT_TRUE(reader.open(path.c_str(), error)) << error;
+    std::vector<exp::record> chunk;
+    bool end = false;
+    EXPECT_FALSE(reader.next_chunk(chunk, end, error));
+    EXPECT_NE(error.find("crafted.amoc"), std::string::npos) << error;
+    EXPECT_TRUE(chunk.empty());
+  }
+}
+
+TEST(Colfmt, WriterRefusesAChunkAboveTheCap) {
+  // 1025 rows x 1024 columns is one row past the cap; sharing cell 0
+  // puts them all in one chunk.
+  exp::record row;
+  row.fields.resize(1024);
+  for (usize c = 1; c < row.fields.size(); ++c) {
+    row.fields[c].key = "c" + std::to_string(c);
+    row.fields[c].raw = "null";
+  }
+  row.fields[0].key = "cell";
+  row.fields[0].type = exp::record_field::kind::number;
+  row.fields[0].raw = "0";
+  const std::vector<exp::record> rows(
+      exp::colfmt_max_chunk_values / row.fields.size() + 1, row);
+  std::string bytes;
+  std::string error;
+  EXPECT_FALSE(exp::colfmt_encode(rows, bytes, error));
+  EXPECT_NE(error.find("chunk cap"), std::string::npos) << error;
+
+  exp::colfmt_writer writer;
+  const std::string path = ::testing::TempDir() + "/capped.amoc";
+  ASSERT_TRUE(writer.open(path.c_str(), error)) << error;
+  error.clear();
+  EXPECT_FALSE(writer.add_chunk(rows, error));
+  EXPECT_NE(error.find("chunk cap"), std::string::npos) << error;
+}
+
 TEST(Colfmt, StreamingReaderMatchesBufferDecode) {
   const std::vector<exp::record> records = tricky_records();
   const std::string path = ::testing::TempDir() + "/stream.amoc";
@@ -317,8 +442,8 @@ TEST(Colfmt, StreamedAmocMergeIsByteIdenticalToTheSweep) {
   ASSERT_TRUE(streamed.ok()) << streamed.error;
   EXPECT_EQ(exp::render_records(streamed.records), expected);
 
-  // And the in-memory front end agrees with the file-streaming fold.
-  const exp::merge_result memory = exp::merge_shards(in_memory);
+  // Memory sources over the same records fold to the same bytes.
+  const exp::merge_result memory = testing::merge_memory(in_memory);
   ASSERT_TRUE(memory.ok()) << memory.error;
   EXPECT_EQ(exp::render_records(memory.records), expected);
 }

@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "analysis/bounds.hpp"
-#include "baselines/kkns_style.hpp"
 #include "exp/engine.hpp"
 #include "exp/registry.hpp"
 #include "exp/report.hpp"
@@ -36,9 +35,9 @@ TEST(ExpEngine, SameSpecSameReport) {
 }
 
 TEST(ExpEngine, DegenerateUniverseRunsVacuously) {
-  // The legacy entry points accepted n == 0 / m == 0; the engine returns a
-  // trivially quiescent report instead of throwing.
-  for (const auto [n, m] : {std::pair<usize, usize>{0, 3}, {300, 0}}) {
+  // n == 0 or m == 0 is not an error: the engine returns a trivially
+  // quiescent report instead of throwing.
+  for (const auto& [n, m] : {std::pair<usize, usize>{0, 3}, {300, 0}}) {
     exp::run_spec s = small_kk("round_robin");
     s.n = n;
     s.m = m;
@@ -235,9 +234,10 @@ TEST(ExpRegistry, AnnounceCrashScenarioIsTight) {
 
 // --- baseline and model families ---
 
-TEST(ExpEngine, Ao2MatchesTheLegacyBaselineRunner) {
-  // algo_family::ao2 must reproduce baseline::run_ao2 exactly: same
-  // adversary, same seed, same effectiveness and charged work.
+TEST(ExpEngine, Ao2IsKkAtItsTwoProcessOperatingPoint) {
+  // algo_family::ao2 is plain KK_beta with the two-ends rule, beta = 1 and
+  // m = 2: the same adversary and seed give the same effectiveness and
+  // charged work, and the report echoes the resolved beta.
   for (const std::uint64_t seed : {1ull, 5ull}) {
     exp::run_spec s;
     s.algo = exp::algo_family::ao2;
@@ -247,10 +247,13 @@ TEST(ExpEngine, Ao2MatchesTheLegacyBaselineRunner) {
     s.adversary = {"random+crash:1/100", seed};
     const exp::run_report r = exp::run(s);
 
-    sim::random_adversary adv(seed, 1, 100);
-    const sim::kk_sim_report legacy = baseline::run_ao2(s.n, 1, adv);
-    EXPECT_EQ(r.effectiveness, legacy.effectiveness) << "seed " << seed;
-    EXPECT_EQ(r.total_work.total(), legacy.total_work.total());
+    exp::run_spec kk = s;
+    kk.algo = exp::algo_family::kk;
+    kk.beta = 1;
+    kk.rule = selection_rule::two_ends;
+    const exp::run_report plain = exp::run(kk);
+    EXPECT_EQ(r.effectiveness, plain.effectiveness) << "seed " << seed;
+    EXPECT_EQ(r.total_work.total(), plain.total_work.total());
     EXPECT_TRUE(r.at_most_once);
     EXPECT_EQ(r.beta, 1u);  // the engine resolves ao2's required beta
   }
@@ -294,15 +297,18 @@ TEST(ExpEngine, TasBaselineRunsOnOsThreads) {
   EXPECT_EQ(r.memory, exp::memory_kind::atomic);  // coerced for threads
   EXPECT_EQ(r.total_steps, r.total_work.actions);
 
-  // Crashing all but one thread after its first claim loses at most one
-  // claimed-but-unperformed job per crashed thread.
+  // Threads 1..m-1 crash right after their first claim. Under load a TAS
+  // thread may never win a claim before the others drain the board, so it
+  // never crashes: the policy bounds the crash count, it does not fix it.
+  // Each crash loses at most the one job it claimed but did not perform.
   exp::run_spec crashy = s;
   crashy.crashes.what = exp::crash_spec::kind::after_first_announce;
   crashy.crashes.count = s.m - 1;
   const exp::run_report c = exp::run(crashy);
   EXPECT_TRUE(c.at_most_once);
-  EXPECT_EQ(c.crashes, s.m - 1);
-  EXPECT_GE(c.effectiveness, crashy.n - (s.m - 1));
+  EXPECT_LE(c.crashes, s.m - 1);
+  EXPECT_EQ(c.crashes + c.terminated, s.m);
+  EXPECT_GE(c.effectiveness, crashy.n - c.crashes);
 }
 
 TEST(ExpEngine, WriteAllBaselinesCompleteCrashFree) {

@@ -17,6 +17,7 @@
 #include "exp/shard.hpp"
 #include "exp/stats.hpp"
 #include "exp/sweep.hpp"
+#include "memory_merge.hpp"
 
 namespace amo {
 namespace {
@@ -188,7 +189,7 @@ TEST(ReplicaMerge, ShardsRefoldIntoByteIdenticalAggregates) {
       ASSERT_TRUE(parsed.ok()) << parsed.error;
       shards.push_back(std::move(parsed.records));
     }
-    const exp::merge_result merged = exp::merge_shards(shards);
+    const exp::merge_result merged = testing::merge_memory(shards);
     ASSERT_TRUE(merged.ok()) << "k = " << k << ": " << merged.error;
     EXPECT_EQ(merged.units_total, exp::unit_count(cells));
     EXPECT_EQ(exp::render_records(merged.records), reference) << "k = " << k;
@@ -204,14 +205,14 @@ TEST(ReplicaMerge, MissingReplicaIsACoverageGap) {
     shards.push_back(std::move(parsed.records));
   }
   shards[1].erase(shards[1].begin());  // lose one unit
-  const exp::merge_result merged = exp::merge_shards(shards);
+  const exp::merge_result merged = testing::merge_memory(shards);
   EXPECT_FALSE(merged.ok());
   EXPECT_NE(merged.error.find("coverage gap"), std::string::npos)
       << merged.error;
 
   // And a unit delivered twice is a duplicate.
   shards[1] = shards[0];
-  const exp::merge_result dup = exp::merge_shards(shards);
+  const exp::merge_result dup = testing::merge_memory(shards);
   EXPECT_FALSE(dup.ok());
   EXPECT_NE(dup.error.find("duplicate unit"), std::string::npos) << dup.error;
 }
@@ -234,7 +235,7 @@ TEST(ReplicaMerge, GridlessUnitRecordsMergeToValidParseableOutput) {
       "]\n";
   exp::parse_result parsed = exp::parse_records(doc);
   ASSERT_TRUE(parsed.ok()) << parsed.error;
-  const exp::merge_result merged = exp::merge_shards({parsed.records});
+  const exp::merge_result merged = testing::merge_memory({parsed.records});
   ASSERT_TRUE(merged.ok()) << merged.error;
   ASSERT_EQ(merged.records.size(), 1u);
   EXPECT_EQ(merged.records[0].find("grid"), nullptr);

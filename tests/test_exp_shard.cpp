@@ -11,6 +11,7 @@
 #include "exp/report.hpp"
 #include "exp/shard.hpp"
 #include "exp/sweep.hpp"
+#include "memory_merge.hpp"
 
 namespace amo {
 namespace {
@@ -150,7 +151,7 @@ TEST(Merge, ShardsRecombineByteIdentical) {
       ASSERT_TRUE(parsed.ok()) << parsed.error;
       shards.push_back(std::move(parsed.records));
     }
-    const exp::merge_result merged = exp::merge_shards(shards);
+    const exp::merge_result merged = testing::merge_memory(shards);
     ASSERT_TRUE(merged.ok()) << merged.error;
     EXPECT_EQ(exp::render_records(merged.records), reference) << "k = " << k;
   }
@@ -167,7 +168,7 @@ TEST(Merge, ShardOrderDoesNotMatter) {
     ASSERT_TRUE(parsed.ok()) << parsed.error;
     shards.push_back(std::move(parsed.records));
   }
-  const exp::merge_result merged = exp::merge_shards(shards);
+  const exp::merge_result merged = testing::merge_memory(shards);
   ASSERT_TRUE(merged.ok()) << merged.error;
   EXPECT_EQ(exp::render_records(merged.records), reference);
 }
@@ -189,7 +190,7 @@ TEST(Merge, DetectsDuplicateCell) {
   const std::vector<exp::run_spec> grid = small_grid();
   std::vector<std::vector<exp::record>> shards = parsed_shards(grid, 3);
   shards.push_back({shards[0][0]});  // one cell delivered twice
-  const exp::merge_result merged = exp::merge_shards(shards);
+  const exp::merge_result merged = testing::merge_memory(shards);
   EXPECT_FALSE(merged.ok());
   EXPECT_NE(merged.error.find("duplicate cell"), std::string::npos)
       << merged.error;
@@ -199,7 +200,7 @@ TEST(Merge, DetectsCoverageGap) {
   const std::vector<exp::run_spec> grid = small_grid();
   std::vector<std::vector<exp::record>> shards = parsed_shards(grid, 3);
   shards[1].erase(shards[1].begin());  // lose one cell
-  const exp::merge_result merged = exp::merge_shards(shards);
+  const exp::merge_result merged = testing::merge_memory(shards);
   EXPECT_FALSE(merged.ok());
   EXPECT_NE(merged.error.find("coverage gap"), std::string::npos)
       << merged.error;
@@ -213,7 +214,7 @@ TEST(Merge, DetectsMixedGrids) {
   exp::parse_result parsed = exp::parse_records(
       sharded_sweep_json(other, iota_indices(other.size())));
   shards.push_back(std::move(parsed.records));
-  const exp::merge_result merged = exp::merge_shards(shards);
+  const exp::merge_result merged = testing::merge_memory(shards);
   EXPECT_FALSE(merged.ok());
   EXPECT_NE(merged.error.find("cells_total"), std::string::npos)
       << merged.error;
@@ -233,7 +234,7 @@ TEST(Merge, DetectsDifferentGridsOfEqualSize) {
   ASSERT_TRUE(foreign.ok()) << foreign.error;
   shards[1] = std::move(foreign.records);
 
-  const exp::merge_result merged = exp::merge_shards(shards);
+  const exp::merge_result merged = testing::merge_memory(shards);
   EXPECT_FALSE(merged.ok());
   EXPECT_NE(merged.error.find("grid fingerprint"), std::string::npos)
       << merged.error;
@@ -243,12 +244,12 @@ TEST(Merge, RejectsRecordsWithoutCellIndex) {
   exp::parse_result parsed =
       exp::parse_records("[\n  {\"scenario\": \"x\", \"work\": 3}\n]\n");
   ASSERT_TRUE(parsed.ok()) << parsed.error;
-  const exp::merge_result merged = exp::merge_shards({parsed.records});
+  const exp::merge_result merged = testing::merge_memory({parsed.records});
   EXPECT_FALSE(merged.ok());
 }
 
 TEST(Merge, EmptyShardListYieldsEmptyDocument) {
-  const exp::merge_result merged = exp::merge_shards({});
+  const exp::merge_result merged = testing::merge_memory({});
   ASSERT_TRUE(merged.ok()) << merged.error;
   EXPECT_TRUE(merged.records.empty());
 }

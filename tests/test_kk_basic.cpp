@@ -7,8 +7,9 @@
 #include <vector>
 
 #include "core/kk_process.hpp"
+#include "exp/engine.hpp"
 #include "mem/sim_memory.hpp"
-#include "sim/harness.hpp"
+#include "sim/scheduler.hpp"
 
 namespace amo {
 namespace {
@@ -128,14 +129,14 @@ TEST(KkBasic, CrashFreezesProcess) {
 }
 
 TEST(KkBasic, TwoProcessesRoundRobinSplitTheJobs) {
-  sim::kk_sim_options opt;
+  exp::run_spec opt;
   opt.n = 200;
   opt.m = 2;
   opt.beta = 2;
   sim::round_robin_adversary adv;
-  const auto report = sim::run_kk<>(opt, adv);
+  const auto report = exp::run(opt, adv);
   EXPECT_TRUE(report.at_most_once);
-  EXPECT_TRUE(report.sched.quiescent);
+  EXPECT_TRUE(report.quiescent);
   EXPECT_EQ(report.terminated, 2u);
   // E >= n - (beta + m - 2) = 198.
   EXPECT_GE(report.effectiveness, 198u);
@@ -170,11 +171,11 @@ TEST(KkBasic, AnnouncementAlwaysPrecedesPerform) {
 }
 
 TEST(KkBasic, StatsCountersConsistent) {
-  sim::kk_sim_options opt;
+  exp::run_spec opt;
   opt.n = 150;
   opt.m = 3;
   sim::round_robin_adversary adv;
-  const auto report = sim::run_kk<>(opt, adv);
+  const auto report = exp::run(opt, adv);
   usize performs = 0;
   for (const auto& s : report.per_process) {
     performs += s.performs;
@@ -188,12 +189,12 @@ TEST(KkBasic, StatsCountersConsistent) {
 }
 
 TEST(KkBasic, BetaDefaultsToM) {
-  sim::kk_sim_options opt;
+  exp::run_spec opt;
   opt.n = 100;
   opt.m = 5;
   opt.beta = 0;  // default
   sim::round_robin_adversary adv;
-  const auto report = sim::run_kk<>(opt, adv);
+  const auto report = exp::run(opt, adv);
   EXPECT_EQ(report.beta, 5u);
   EXPECT_GE(report.effectiveness, 100u - (5 + 5 - 2));
 }

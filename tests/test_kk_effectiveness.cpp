@@ -10,7 +10,7 @@
 #include <tuple>
 
 #include "analysis/bounds.hpp"
-#include "sim/harness.hpp"
+#include "exp/engine.hpp"
 
 namespace amo {
 namespace {
@@ -20,16 +20,16 @@ class EffectivenessExact
 
 TEST_P(EffectivenessExact, AnnounceCrashAdversaryIsTight) {
   const auto [n, m, beta] = GetParam();
-  sim::kk_sim_options opt;
+  exp::run_spec opt;
   opt.n = n;
   opt.m = m;
   opt.beta = beta;
   opt.crash_budget = m - 1;
   sim::announce_crash_adversary adv;
-  const auto report = sim::run_kk<>(opt, adv);
+  const auto report = exp::run(opt, adv);
   ASSERT_TRUE(report.at_most_once);
-  ASSERT_TRUE(report.sched.quiescent);
-  EXPECT_EQ(report.sched.crashes, m - 1);
+  ASSERT_TRUE(report.quiescent);
+  EXPECT_EQ(report.crashes, m - 1);
   const usize expected = bounds::kk_effectiveness(n, m, beta == 0 ? m : beta);
   EXPECT_EQ(report.effectiveness, expected)
       << "n=" << n << " m=" << m << " beta=" << beta;
@@ -49,13 +49,13 @@ class EffectivenessLowerBound
 
 TEST_P(EffectivenessLowerBound, QuiescentRunsMeetTheBound) {
   const auto [n, m, adversary_index, seed] = GetParam();
-  sim::kk_sim_options opt;
+  exp::run_spec opt;
   opt.n = n;
   opt.m = m;
   opt.crash_budget = m - 1;
   auto adv = sim::standard_adversaries()[adversary_index].make(seed);
-  const auto report = sim::run_kk<>(opt, *adv);
-  ASSERT_TRUE(report.sched.quiescent);
+  const auto report = exp::run(opt, *adv);
+  ASSERT_TRUE(report.quiescent);
   EXPECT_GE(report.effectiveness, bounds::kk_effectiveness(n, m, m))
       << "under " << adv->name();
   EXPECT_LE(report.effectiveness, n);
@@ -72,12 +72,12 @@ TEST(EffectivenessCeiling, StuckJobsEnforceNMinusF) {
   // Under the announce-crash strategy each of the f crashed processes pins a
   // distinct job forever, so Do(alpha) <= n - f — the Theorem 2.1 scenario.
   for (const usize m : {usize{2}, usize{4}, usize{8}, usize{16}}) {
-    sim::kk_sim_options opt;
+    exp::run_spec opt;
     opt.n = 500;
     opt.m = m;
     opt.crash_budget = m - 1;
     sim::announce_crash_adversary adv;
-    const auto report = sim::run_kk<>(opt, adv);
+    const auto report = exp::run(opt, adv);
     EXPECT_LE(report.effectiveness, bounds::effectiveness_upper(500, m - 1));
   }
 }
@@ -86,12 +86,12 @@ TEST(EffectivenessNoCrash, FullSpeedRunsLoseAtMostTheBound) {
   // Even without crashes the algorithm may terminate up to beta + m - 2
   // short (termination is triggered by |FREE \ TRY| < beta).
   for (const usize m : {usize{2}, usize{4}, usize{8}}) {
-    sim::kk_sim_options opt;
+    exp::run_spec opt;
     opt.n = 512;
     opt.m = m;
     sim::round_robin_adversary adv;
-    const auto report = sim::run_kk<>(opt, adv);
-    ASSERT_TRUE(report.sched.quiescent);
+    const auto report = exp::run(opt, adv);
+    ASSERT_TRUE(report.quiescent);
     EXPECT_EQ(report.terminated, m);
     EXPECT_GE(report.effectiveness, 512u - (2 * m - 2));
   }
@@ -101,13 +101,13 @@ TEST(EffectivenessMonotonicity, LargerBetaLosesMoreJobs) {
   // Theorem 4.4: loss grows linearly in beta under the tight adversary.
   usize prev = ~usize{0};
   for (const usize beta : {usize{4}, usize{8}, usize{16}, usize{32}}) {
-    sim::kk_sim_options opt;
+    exp::run_spec opt;
     opt.n = 600;
     opt.m = 4;
     opt.beta = beta;
     opt.crash_budget = 3;
     sim::announce_crash_adversary adv;
-    const auto report = sim::run_kk<>(opt, adv);
+    const auto report = exp::run(opt, adv);
     EXPECT_LT(report.effectiveness, prev);
     prev = report.effectiveness;
   }
@@ -118,12 +118,12 @@ TEST(EffectivenessDominance, BeatsTrivialSplitUnderWorstCase) {
   // trivial split keeps only n/m jobs; KK_m keeps n - 2m + 2.
   const usize n = 4096;
   const usize m = 16;
-  sim::kk_sim_options opt;
+  exp::run_spec opt;
   opt.n = n;
   opt.m = m;
   opt.crash_budget = m - 1;
   sim::announce_crash_adversary adv;
-  const auto report = sim::run_kk<>(opt, adv);
+  const auto report = exp::run(opt, adv);
   EXPECT_GT(report.effectiveness, bounds::trivial_effectiveness(n, m, m - 1) * 10);
 }
 

@@ -8,9 +8,7 @@
 #include <string>
 #include <tuple>
 
-#include "sets/fenwick_rank_set.hpp"
-#include "sets/ostree.hpp"
-#include "sim/harness.hpp"
+#include "exp/engine.hpp"
 
 namespace amo {
 namespace {
@@ -28,20 +26,20 @@ class KkSafetySweep : public ::testing::TestWithParam<sweep_param> {};
 
 TEST_P(KkSafetySweep, NoJobPerformedTwice) {
   const sweep_param p = GetParam();
-  sim::kk_sim_options opt;
+  exp::run_spec opt;
   opt.n = p.n;
   opt.m = p.m;
   opt.beta = p.beta;
   opt.crash_budget = p.crash_budget;
   auto adv = sim::standard_adversaries()[p.adversary_index].make(p.seed);
-  const auto report = sim::run_kk<>(opt, *adv);
+  const auto report = exp::run(opt, *adv);
   EXPECT_TRUE(report.at_most_once)
       << "duplicate job " << report.duplicate << " under "
       << adv->name() << " seed " << p.seed;
   EXPECT_EQ(report.perform_events, report.effectiveness);
   // With beta >= m the run must reach quiescence (wait-freedom).
   if (p.beta == 0 || p.beta >= p.m) {
-    EXPECT_TRUE(report.sched.quiescent) << "possible livelock";
+    EXPECT_TRUE(report.quiescent) << "possible livelock";
   }
 }
 
@@ -73,13 +71,13 @@ class KkSmallBetaSweep
 
 TEST_P(KkSmallBetaSweep, SafeEvenWithoutTerminationGuarantee) {
   const auto [m, seed] = GetParam();
-  sim::kk_sim_options opt;
+  exp::run_spec opt;
   opt.n = 400;
   opt.m = m;
   opt.beta = 1;                  // << m
   opt.max_steps = 400 * m * 64;  // bounded run; termination not required
   sim::random_adversary adv(seed);
-  const auto report = sim::run_kk<>(opt, adv);
+  const auto report = exp::run(opt, adv);
   EXPECT_TRUE(report.at_most_once) << "duplicate job " << report.duplicate;
 }
 
@@ -91,15 +89,17 @@ INSTANTIATE_TEST_SUITE_P(
 // --- alternative FREE-set representations must behave identically ---
 
 TEST(KkSafetyRepresentations, OstreeBackedRunIsSafeAndEquivalent) {
-  sim::kk_sim_options opt;
+  exp::run_spec opt;
   opt.n = 500;
   opt.m = 4;
   sim::round_robin_adversary adv1;
   sim::round_robin_adversary adv2;
   sim::round_robin_adversary adv3;
-  const auto a = sim::run_kk<bitset_rank_set>(opt, adv1);
-  const auto b = sim::run_kk<ostree>(opt, adv2);
-  const auto c = sim::run_kk<fenwick_rank_set>(opt, adv3);
+  const auto a = exp::run(opt, adv1);
+  opt.free_set = exp::free_set_kind::ostree;
+  const auto b = exp::run(opt, adv2);
+  opt.free_set = exp::free_set_kind::fenwick;
+  const auto c = exp::run(opt, adv3);
   EXPECT_TRUE(a.at_most_once);
   EXPECT_TRUE(b.at_most_once);
   EXPECT_TRUE(c.at_most_once);
@@ -107,13 +107,13 @@ TEST(KkSafetyRepresentations, OstreeBackedRunIsSafeAndEquivalent) {
   // regardless of the set structure backing FREE.
   EXPECT_EQ(a.effectiveness, b.effectiveness);
   EXPECT_EQ(a.effectiveness, c.effectiveness);
-  EXPECT_EQ(a.sched.total_steps, b.sched.total_steps);
-  EXPECT_EQ(a.sched.total_steps, c.sched.total_steps);
+  EXPECT_EQ(a.total_steps, b.total_steps);
+  EXPECT_EQ(a.total_steps, c.total_steps);
 }
 
 TEST(KkSafetyRepresentations, TwoEndsRuleSafeUnderCrashes) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    sim::kk_sim_options opt;
+    exp::run_spec opt;
     opt.n = 300;
     opt.m = 4;
     opt.beta = 1;
@@ -121,7 +121,7 @@ TEST(KkSafetyRepresentations, TwoEndsRuleSafeUnderCrashes) {
     opt.crash_budget = 3;
     opt.max_steps = 300 * 4 * 64;
     sim::random_adversary adv(seed, 1, 300);
-    const auto report = sim::run_kk<>(opt, adv);
+    const auto report = exp::run(opt, adv);
     EXPECT_TRUE(report.at_most_once) << "duplicate " << report.duplicate;
   }
 }

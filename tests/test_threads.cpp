@@ -8,7 +8,7 @@
 #include <thread>
 
 #include "analysis/bounds.hpp"
-#include "rt/thread_executor.hpp"
+#include "exp/engine.hpp"
 
 namespace amo {
 namespace {
@@ -18,13 +18,29 @@ usize hw_threads() {
   return hc == 0 ? 4 : hc;
 }
 
+/// An os_threads run of `algo` on n jobs and m threads, crash-free.
+exp::run_spec thread_spec(exp::algo_family algo, usize n, usize m) {
+  exp::run_spec s;
+  s.algo = algo;
+  s.driver = exp::driver_kind::os_threads;
+  s.n = n;
+  s.m = m;
+  return s;
+}
+
+exp::crash_spec after_actions(std::vector<usize> per_thread) {
+  return {exp::crash_spec::kind::after_actions, std::move(per_thread), 0};
+}
+
+exp::crash_spec after_first_announce(usize count) {
+  return {exp::crash_spec::kind::after_first_announce, {}, count};
+}
+
 TEST(Threads, AtMostOnceAcrossRepeatedRuns) {
   const usize m = std::min<usize>(hw_threads(), 8);
   for (int round = 0; round < 8; ++round) {
-    rt::thread_run_options opt;
-    opt.n = 20000;
-    opt.m = m;
-    const auto report = rt::run_kk_threads(opt, nullptr);
+    const auto report =
+        exp::run(thread_spec(exp::algo_family::kk, 20000, m));
     ASSERT_TRUE(report.at_most_once)
         << "duplicate job " << report.duplicate << " in round " << round;
     EXPECT_EQ(report.terminated, m);
@@ -37,12 +53,12 @@ TEST(Threads, JobFunctionSeesEachJobOnce) {
   const usize n = 8000;
   const usize m = std::min<usize>(hw_threads(), 6);
   std::vector<std::atomic<std::uint32_t>> hits(n + 1);
-  rt::thread_run_options opt;
-  opt.n = n;
-  opt.m = m;
-  const auto report = rt::run_kk_threads(opt, [&hits](process_id, job_id j) {
+  exp::run_hooks hooks;
+  hooks.on_perform = [&hits](process_id, job_id j) {
     hits[j].fetch_add(1, std::memory_order_relaxed);
-  });
+  };
+  const auto report =
+      exp::run(thread_spec(exp::algo_family::kk, n, m), hooks);
   ASSERT_TRUE(report.at_most_once);
   usize performed = 0;
   for (job_id j = 1; j <= n; ++j) {
@@ -60,13 +76,11 @@ TEST(Threads, CrashInjectionAfterAnnounce) {
   // it land above the simulated tight value, never below).
   const usize n = 5000;
   const usize m = 4;
-  rt::thread_run_options opt;
-  opt.n = n;
-  opt.m = m;
-  opt.crashes = rt::crash_plan::after_first_announce(m - 1);
-  const auto report = rt::run_kk_threads(opt, nullptr);
+  exp::run_spec spec = thread_spec(exp::algo_family::kk, n, m);
+  spec.crashes = after_first_announce(m - 1);
+  const auto report = exp::run(spec);
   ASSERT_TRUE(report.at_most_once);
-  EXPECT_EQ(report.crashed, m - 1);
+  EXPECT_EQ(report.crashes, m - 1);
   EXPECT_EQ(report.terminated, 1u);
   EXPECT_GE(report.effectiveness, bounds::kk_effectiveness(n, m, m));
   EXPECT_LE(report.effectiveness, bounds::effectiveness_upper(n, 0));
@@ -77,22 +91,18 @@ TEST(Threads, CrashInjectionMidRun) {
   const usize m = std::min<usize>(hw_threads(), 6);
   std::vector<usize> at(m, 0);
   for (usize i = 0; i + 1 < m; ++i) at[i] = 500 * (i + 1);  // survivor: last
-  rt::thread_run_options opt;
-  opt.n = n;
-  opt.m = m;
-  opt.crashes = rt::crash_plan::after_actions(at);
-  const auto report = rt::run_kk_threads(opt, nullptr);
+  exp::run_spec spec = thread_spec(exp::algo_family::kk, n, m);
+  spec.crashes = after_actions(at);
+  const auto report = exp::run(spec);
   ASSERT_TRUE(report.at_most_once) << "duplicate " << report.duplicate;
   EXPECT_GE(report.terminated, 1u);
   EXPECT_GE(report.effectiveness, bounds::kk_effectiveness(n, m, m));
 }
 
 TEST(Threads, SingleThreadDegeneratesToSequential) {
-  rt::thread_run_options opt;
-  opt.n = 3000;
-  opt.m = 1;
-  opt.beta = 1;
-  const auto report = rt::run_kk_threads(opt, nullptr);
+  exp::run_spec spec = thread_spec(exp::algo_family::kk, 3000, 1);
+  spec.beta = 1;
+  const auto report = exp::run(spec);
   EXPECT_TRUE(report.at_most_once);
   EXPECT_EQ(report.effectiveness, 3000u);
 }
@@ -100,11 +110,9 @@ TEST(Threads, SingleThreadDegeneratesToSequential) {
 TEST(Threads, IterativeAtMostOnce) {
   const usize m = std::min<usize>(hw_threads(), 6);
   for (int round = 0; round < 4; ++round) {
-    rt::iter_thread_options opt;
-    opt.n = 30000;
-    opt.m = m;
-    opt.eps_inv = 2;
-    const auto report = rt::run_iterative_threads(opt, nullptr);
+    exp::run_spec spec = thread_spec(exp::algo_family::iterative, 30000, m);
+    spec.eps_inv = 2;
+    const auto report = exp::run(spec);
     ASSERT_TRUE(report.at_most_once)
         << "duplicate real job " << report.duplicate << " round " << round;
     EXPECT_EQ(report.terminated, m);
@@ -117,12 +125,8 @@ TEST(Threads, IterativeAtMostOnce) {
 TEST(Threads, WriteAllCompletesUnderConcurrency) {
   const usize m = std::min<usize>(hw_threads(), 6);
   for (int round = 0; round < 4; ++round) {
-    rt::iter_thread_options opt;
-    opt.n = 20000;
-    opt.m = m;
-    opt.eps_inv = 1;
-    opt.write_all = true;
-    const auto report = rt::run_iterative_threads(opt, nullptr);
+    const auto report =
+        exp::run(thread_spec(exp::algo_family::wa_iterative, 20000, m));
     EXPECT_TRUE(report.wa_complete)
         << report.wa_written << "/20000 in round " << round;
   }
@@ -130,24 +134,35 @@ TEST(Threads, WriteAllCompletesUnderConcurrency) {
 
 TEST(Threads, WriteAllWithCrashes) {
   const usize m = 5;
-  rt::iter_thread_options opt;
-  opt.n = 10000;
-  opt.m = m;
-  opt.eps_inv = 1;
-  opt.write_all = true;
-  opt.crashes = rt::crash_plan::after_actions({2000, 4000, 0, 6000, 0});
-  const auto report = rt::run_iterative_threads(opt, nullptr);
+  exp::run_spec spec = thread_spec(exp::algo_family::wa_iterative, 10000, m);
+  spec.crashes = after_actions({2000, 4000, 0, 6000, 0});
+  const auto report = exp::run(spec);
   EXPECT_TRUE(report.wa_complete);
   EXPECT_EQ(report.wa_written, 10000u);
 }
 
-TEST(CrashPlan, PredicatesBehave) {
-  const auto by_actions = rt::crash_plan::after_actions({5, 0, 7});
-  EXPECT_EQ(by_actions.planned_crashes(), 2u);
-  const auto by_announce = rt::crash_plan::after_first_announce(3);
-  EXPECT_EQ(by_announce.planned_crashes(), 3u);
-  const rt::crash_plan none;
-  EXPECT_EQ(none.planned_crashes(), 0u);
+TEST(CrashSpec, EachPolicyCrashesExactlyItsThreads) {
+  // n is large enough that no KK thread can terminate within 7 actions,
+  // and every KK thread announces among its first actions (its FREE view
+  // starts full), so each policy's crash count is exact.
+  exp::run_spec spec = thread_spec(exp::algo_family::kk, 2000, 3);
+  EXPECT_EQ(exp::run(spec).crashes, 0u);
+
+  spec.crashes = after_actions({5, 0, 7});
+  const auto by_actions = exp::run(spec);
+  EXPECT_TRUE(by_actions.at_most_once);
+  EXPECT_EQ(by_actions.crashes, 2u);
+  EXPECT_EQ(by_actions.terminated, 1u);
+
+  spec.crashes = after_first_announce(2);
+  const auto by_announce = exp::run(spec);
+  EXPECT_TRUE(by_announce.at_most_once);
+  EXPECT_EQ(by_announce.crashes, 2u);
+  EXPECT_EQ(by_announce.terminated, 1u);
+
+  // A schedule shorter than m leaves the remaining threads uncrashed.
+  spec.crashes = after_actions({5});
+  EXPECT_EQ(exp::run(spec).crashes, 1u);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // (same effectiveness, same step counts, same per-process statistics).
 #include <gtest/gtest.h>
 
-#include "sim/harness.hpp"
+#include "exp/engine.hpp"
 #include "sim/trace.hpp"
 
 namespace amo {
@@ -44,7 +44,7 @@ TEST(Trace, PrefixTruncates) {
 
 TEST(Trace, ReplayReproducesExecutionExactly) {
   for (const std::uint64_t seed : {5ull, 17ull, 41ull}) {
-    sim::kk_sim_options opt;
+    exp::run_spec opt;
     opt.n = 600;
     opt.m = 4;
     opt.crash_budget = 2;
@@ -52,16 +52,16 @@ TEST(Trace, ReplayReproducesExecutionExactly) {
     sim::trace recorded;
     sim::random_adversary inner(seed, 1, 300);
     sim::recording_adversary rec(inner, recorded);
-    const auto original = sim::run_kk<>(opt, rec);
-    ASSERT_TRUE(original.sched.quiescent);
+    const auto original = exp::run(opt, rec);
+    ASSERT_TRUE(original.quiescent);
     ASSERT_GT(recorded.size(), 0u);
 
     sim::replay_adversary rep(recorded);
-    const auto replayed = sim::run_kk<>(opt, rep);
+    const auto replayed = exp::run(opt, rep);
     EXPECT_TRUE(rep.faithful());
     EXPECT_EQ(replayed.effectiveness, original.effectiveness);
-    EXPECT_EQ(replayed.sched.total_steps, original.sched.total_steps);
-    EXPECT_EQ(replayed.sched.crashes, original.sched.crashes);
+    EXPECT_EQ(replayed.total_steps, original.total_steps);
+    EXPECT_EQ(replayed.crashes, original.crashes);
     EXPECT_EQ(replayed.total_collisions, original.total_collisions);
     ASSERT_EQ(replayed.per_process.size(), original.per_process.size());
     for (usize i = 0; i < original.per_process.size(); ++i) {
@@ -75,14 +75,14 @@ TEST(Trace, ReplayReproducesExecutionExactly) {
 }
 
 TEST(Trace, SerializedReplayAlsoReproduces) {
-  sim::kk_sim_options opt;
+  exp::run_spec opt;
   opt.n = 200;
   opt.m = 3;
 
   sim::trace recorded;
   sim::random_adversary inner(7);
   sim::recording_adversary rec(inner, recorded);
-  const auto original = sim::run_kk<>(opt, rec);
+  const auto original = exp::run(opt, rec);
 
   // Through the text form, as a bug report would travel.
   sim::trace parsed;
@@ -90,16 +90,16 @@ TEST(Trace, SerializedReplayAlsoReproduces) {
   EXPECT_EQ(parsed, recorded);
 
   sim::replay_adversary rep(parsed);
-  const auto replayed = sim::run_kk<>(opt, rep);
+  const auto replayed = exp::run(opt, rep);
   EXPECT_TRUE(rep.faithful());
   EXPECT_EQ(replayed.effectiveness, original.effectiveness);
-  EXPECT_EQ(replayed.sched.total_steps, original.sched.total_steps);
+  EXPECT_EQ(replayed.total_steps, original.total_steps);
 }
 
 TEST(Trace, RecordingCapturesDowngradedCrashes) {
   // A crash-hungry adversary with a tiny budget: requests beyond the budget
   // must be recorded as steps, so replay's crash count matches execution.
-  sim::kk_sim_options opt;
+  exp::run_spec opt;
   opt.n = 150;
   opt.m = 3;
   opt.crash_budget = 1;
@@ -107,8 +107,8 @@ TEST(Trace, RecordingCapturesDowngradedCrashes) {
   sim::trace recorded;
   sim::random_adversary inner(9, 1, 10);  // tries to crash constantly
   sim::recording_adversary rec(inner, recorded);
-  const auto original = sim::run_kk<>(opt, rec);
-  EXPECT_EQ(original.sched.crashes, 1u);
+  const auto original = exp::run(opt, rec);
+  EXPECT_EQ(original.crashes, 1u);
 
   usize recorded_crashes = 0;
   for (const auto& e : recorded.events()) {
@@ -117,15 +117,16 @@ TEST(Trace, RecordingCapturesDowngradedCrashes) {
   EXPECT_EQ(recorded_crashes, 1u);
 
   sim::replay_adversary rep(recorded);
-  const auto replayed = sim::run_kk<>(opt, rep);
-  EXPECT_EQ(replayed.sched.crashes, 1u);
+  const auto replayed = exp::run(opt, rep);
+  EXPECT_EQ(replayed.crashes, 1u);
   EXPECT_EQ(replayed.effectiveness, original.effectiveness);
 }
 
 TEST(Trace, ReplayReproducesIterativeRuns) {
   // The composed IterativeKK automaton is also deterministic given the
   // schedule: record under a random adversary, replay, compare.
-  sim::iter_sim_options opt;
+  exp::run_spec opt;
+  opt.algo = exp::algo_family::iterative;
   opt.n = 3000;
   opt.m = 3;
   opt.eps_inv = 2;
@@ -134,37 +135,37 @@ TEST(Trace, ReplayReproducesIterativeRuns) {
   sim::trace recorded;
   sim::random_adversary inner(31, 1, 500);
   sim::recording_adversary rec(inner, recorded);
-  const auto original = sim::run_iterative(opt, rec);
-  ASSERT_TRUE(original.sched.quiescent);
+  const auto original = exp::run(opt, rec);
+  ASSERT_TRUE(original.quiescent);
 
   sim::replay_adversary rep(recorded);
-  const auto replayed = sim::run_iterative(opt, rep);
+  const auto replayed = exp::run(opt, rep);
   EXPECT_TRUE(rep.faithful());
   EXPECT_EQ(replayed.effectiveness, original.effectiveness);
-  EXPECT_EQ(replayed.sched.total_steps, original.sched.total_steps);
-  EXPECT_EQ(replayed.sched.crashes, original.sched.crashes);
+  EXPECT_EQ(replayed.total_steps, original.total_steps);
+  EXPECT_EQ(replayed.crashes, original.crashes);
   EXPECT_EQ(replayed.total_work.total(), original.total_work.total());
   EXPECT_EQ(replayed.total_collisions, original.total_collisions);
 }
 
 TEST(Trace, PrefixReplayRunsPartialExecution) {
-  sim::kk_sim_options opt;
+  exp::run_spec opt;
   opt.n = 200;
   opt.m = 2;
 
   sim::trace recorded;
   sim::round_robin_adversary inner;
   sim::recording_adversary rec(inner, recorded);
-  const auto original = sim::run_kk<>(opt, rec);
+  const auto original = exp::run(opt, rec);
 
   // Replay only half the schedule, then bounded fallback: the run is a
   // legal execution and performs no more than the original.
   sim::replay_adversary rep(recorded.prefix(recorded.size() / 2));
-  sim::kk_sim_options bounded = opt;
-  const auto replayed = sim::run_kk<>(bounded, rep);
+  exp::run_spec bounded = opt;
+  const auto replayed = exp::run(bounded, rep);
   EXPECT_TRUE(replayed.at_most_once);
   EXPECT_LE(replayed.effectiveness, original.effectiveness + opt.n);
-  EXPECT_TRUE(replayed.sched.quiescent);
+  EXPECT_TRUE(replayed.quiescent);
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
 #include <tuple>
 
 #include "baselines/write_all_baselines.hpp"
-#include "sim/harness.hpp"
+#include "exp/engine.hpp"
+#include "sim/scheduler.hpp"
 
 namespace amo {
 namespace {
@@ -18,16 +19,16 @@ class WaIterativeSweep
 
 TEST_P(WaIterativeSweep, CoversEveryCell) {
   const auto [n, m, f, seed] = GetParam();
-  sim::iter_sim_options opt;
+  exp::run_spec opt;
   opt.n = n;
   opt.m = m;
   opt.eps_inv = 2;
-  opt.write_all = true;
+  opt.algo = exp::algo_family::wa_iterative;
   opt.crash_budget = f;
   sim::random_adversary adv(seed, f > 0 ? 1 : 0, 300);
-  const auto report = sim::run_iterative(opt, adv);
-  ASSERT_TRUE(report.sched.quiescent);
-  ASSERT_LT(report.sched.crashes, m) << "need one survivor";
+  const auto report = exp::run(opt, adv);
+  ASSERT_TRUE(report.quiescent);
+  ASSERT_LT(report.crashes, m) << "need one survivor";
   EXPECT_TRUE(report.wa_complete)
       << "cells written: " << report.wa_written << "/" << n;
   EXPECT_EQ(report.wa_written, n);
@@ -43,15 +44,15 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(WaIterative, SurvivesMassCrash) {
   // Crash all but one process aggressively; the survivor must finish the
   // array alone (its residual FREE view covers everything unwritten).
-  sim::iter_sim_options opt;
+  exp::run_spec opt;
   opt.n = 2048;
   opt.m = 5;
   opt.eps_inv = 1;
-  opt.write_all = true;
+  opt.algo = exp::algo_family::wa_iterative;
   opt.crash_budget = 4;
   sim::random_adversary adv(11, 1, 40);
-  const auto report = sim::run_iterative(opt, adv);
-  ASSERT_TRUE(report.sched.quiescent);
+  const auto report = exp::run(opt, adv);
+  ASSERT_TRUE(report.quiescent);
   EXPECT_TRUE(report.wa_complete);
 }
 
@@ -59,15 +60,15 @@ TEST(WaIterative, AnnounceCrashAdversaryStillCompletes) {
   // The at-most-once worst case (stuck announced jobs) must NOT hurt
   // Write-All: the survivor performs its whole residual FREE set, stuck
   // announcements included.
-  sim::iter_sim_options opt;
+  exp::run_spec opt;
   opt.n = 1024;
   opt.m = 4;
   opt.eps_inv = 1;
-  opt.write_all = true;
+  opt.algo = exp::algo_family::wa_iterative;
   opt.crash_budget = 3;
   sim::announce_crash_adversary adv;
-  const auto report = sim::run_iterative(opt, adv);
-  ASSERT_TRUE(report.sched.quiescent);
+  const auto report = exp::run(opt, adv);
+  ASSERT_TRUE(report.quiescent);
   EXPECT_TRUE(report.wa_complete);
   EXPECT_EQ(report.wa_written, 1024u);
 }
