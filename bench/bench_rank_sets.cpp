@@ -33,11 +33,11 @@ namespace {
 
 using namespace amo;
 
-/// Binds the TRY shadow bitmap when the try_set supports it (newer API);
-/// no-op against the plain sorted-vector try_set. Templated so the member
-/// probe stays dependent and compiles against either API.
+/// Binds TRY to the job universe, as kk_process does, when the try_set has
+/// bind_universe (newer API); no-op against the oldest try_set. Templated so
+/// the member probe stays dependent and compiles against either API.
 template <class T = try_set>
-void maybe_bind_shadow(T& t, job_id universe) {
+void maybe_bind_universe(T& t, job_id universe) {
   if constexpr (requires(T& s) { s.bind_universe(universe); }) {
     t.bind_universe(universe);
   }
@@ -48,7 +48,7 @@ void maybe_bind_shadow(T& t, job_id universe) {
 /// adversarial one.
 try_set make_try(job_id universe, usize count, bool clustered, xoshiro256& rng) {
   try_set t;
-  maybe_bind_shadow(t, universe);
+  maybe_bind_universe(t, universe);
   if (clustered) {
     const job_id base = static_cast<job_id>(rng.between(1, universe - count));
     for (usize i = 0; i < count; ++i) {

@@ -14,6 +14,13 @@
 // announcements) and DONE/FREE (other processes' append-only done logs);
 // performs the job only if nobody else announced or performed it; records
 // it; repeats until fewer than beta candidates remain.
+//
+// DONE_p is not stored. Every DONE insert erases the same job from FREE and
+// FREE never grows, so FREE ∩ DONE = ∅; and NEXT ∈ FREE when compNext picks
+// it. Hence at `check`, NEXT ∈ DONE ⇔ NEXT ∉ FREE, which is the only
+// question the algorithm asks of DONE (Fig. 2). The cost model still
+// charges one unit per DONE insert and per DONE lookup, as the paper's
+// explicit set would cost.
 #pragma once
 
 #include <cassert>
@@ -24,7 +31,6 @@
 #include "core/kk_state.hpp"
 #include "mem/memory_concept.hpp"
 #include "sets/bitset_rank_set.hpp"
-#include "sets/done_set.hpp"
 #include "sets/rank_select.hpp"
 #include "sets/try_set.hpp"
 #include "util/op_counter.hpp"
@@ -93,7 +99,6 @@ class kk_process final : public automaton {
   [[nodiscard]] const kk_stats& stats() const { return stats_; }
   [[nodiscard]] job_id current_next() const { return next_; }
   [[nodiscard]] const FS& free_view() const { return free_; }
-  [[nodiscard]] const done_set& done_view() const { return done_; }
   [[nodiscard]] const try_set& try_view() const { return try_; }
   [[nodiscard]] usize free_minus_try_size() const {
     return size_excluding(free_, try_);
@@ -109,6 +114,21 @@ class kk_process final : public automaton {
 
  private:
   [[nodiscard]] op_counter& work() { return stats_.work; }
+
+  /// Uncharged FREE membership probe of a job in [1..universe]. Word sets
+  /// read the bitmap; the ablation sets answer contains() with the counter
+  /// detached.
+  [[nodiscard]] bool free_has(job_id j) {
+    if constexpr (word_rank_set<FS>) {
+      return (free_.word((static_cast<usize>(j) - 1) / 64) >> ((j - 1) % 64)) &
+             1u;
+    } else {
+      free_.set_counter(nullptr);
+      const bool in = free_.contains(j);
+      free_.set_counter(&stats_.work);
+      return in;
+    }
+  }
 
   /// compNext's interval arithmetic (Fig. 2): the 1-based rank inside
   /// FREE \ TRY of the candidate this process should announce.
@@ -138,7 +158,6 @@ class kk_process final : public automaton {
 
   kk_status status_;
   FS free_;
-  done_set done_;
   try_set try_;
   std::vector<usize> pos_;  ///< POS_p (Fig. 1), 1-based, index 1..m
   job_id next_ = no_job;
@@ -195,7 +214,6 @@ kk_process<M, FS>::kk_process(M& mem, const kk_config& cfg, FS free_set,
       status_(cfg.mode == kk_mode::plain ? kk_status::comp_next
                                          : kk_status::flag_poll),
       free_(std::move(free_set)),
-      done_(static_cast<job_id>(universe_)),
       pos_(m_ + 1, 1),
       perform_(std::move(fn)),
       hooks_(std::move(hooks)) {
@@ -203,15 +221,8 @@ kk_process<M, FS>::kk_process(M& mem, const kk_config& cfg, FS free_set,
   assert(m_ == mem.num_processes());
   assert(free_.universe() == universe_);
   free_.set_counter(&stats_.work);
-  done_.set_counter(&stats_.work);
   try_.set_counter(&stats_.work);
-  if (universe_ >= 1 && m_ > word_parallel_threshold + 1) {
-    // The shadow bitmap powers the word-parallel FREE \ TRY paths in
-    // rank_select.hpp; it is pure representation and never charges work.
-    // |TRY| < m, so below the threshold those paths can never engage and
-    // the bitmap would be dead weight on the gather hot path.
-    try_.bind_universe(static_cast<job_id>(universe_));
-  }
+  if (universe_ >= 1) try_.bind_universe(static_cast<job_id>(universe_));
   avail_cache_ = free_.size();  // TRY starts empty, so FREE \ TRY = FREE
   avail_cache_valid_ = word_rank_set<FS>;
 }
@@ -314,18 +325,9 @@ void kk_process<M, FS>::act_comp_next() {
     work().local_ops += 2 * try_.size();
     avail = avail_cache_;
 #ifndef NDEBUG
-    if constexpr (word_rank_set<FS>) {
-      usize overlap = 0;
-      for (const auto& e : try_.entries()) {
-        const bool in_free =
-            e.job >= 1 && e.job <= free_.universe() &&
-            ((free_.word((static_cast<usize>(e.job) - 1) / 64) >>
-              ((e.job - 1) % 64)) &
-             1u);
-        if (in_free) ++overlap;
-      }
-      assert(avail == free_.size() - overlap);
-    }
+    usize overlap = 0;
+    for (const auto& e : try_.entries()) overlap += free_has(e.job) ? 1 : 0;
+    assert(avail == free_.size() - overlap);
 #endif
   } else {
     avail = size_excluding(free_, try_, &work());
@@ -390,7 +392,8 @@ void kk_process<M, FS>::act_gather_done() {
     if (pos <= universe_) {
       const job_id v = mem_.read_done(q_, pos, work());
       if (v > no_job) {
-        done_.insert(v);
+        assert(v <= universe_);
+        ++work().local_ops;  // DONE insert
         if (free_.erase(v)) note_gather_erase();
         pos_[q_] = pos + 1;
         advance = false;  // same row again next action: more may follow
@@ -419,9 +422,12 @@ void kk_process<M, FS>::act_check() {
   if (try_.contains(next_)) {
     safe = false;
     announcer = try_.announcer_of(next_);
-  } else if (done_.contains(next_)) {
-    safe = false;
-    via_done = true;
+  } else {
+    ++work().local_ops;  // DONE lookup: NEXT ∈ DONE ⇔ NEXT ∉ FREE (see top)
+    if (!free_has(next_)) {
+      safe = false;
+      via_done = true;
+    }
   }
   if (safe) {
     status_ = mode_ == kk_mode::plain ? kk_status::perform : kk_status::flag_gate;
@@ -460,7 +466,7 @@ template <class M, rank_set FS>
 void kk_process<M, FS>::act_record() {
   mem_.write_done(pid_, pos_[pid_], next_, work());
   ++stats_.records;
-  done_.insert(next_);
+  ++work().local_ops;  // DONE insert
   note_record_erase(free_.erase(next_));
   ++pos_[pid_];
   status_ = mode_ == kk_mode::plain ? kk_status::comp_next : kk_status::flag_poll;

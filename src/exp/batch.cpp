@@ -249,7 +249,7 @@ std::vector<run_report> run_lane_block(const run_spec& cell,
 
   // Drive each lane to completion before touching the next: lanes share no
   // mutable state, so the order is free to choose, and running one lane's
-  // automaton straight through keeps its registers, TRY/DONE shadows and
+  // automaton straight through keeps its registers, TRY entries and
   // arena rows cache-hot instead of cycling the whole block's working set.
   stopwatch clock;
   for (lane& ls : lanes) {

@@ -47,8 +47,7 @@ bitset_rank_set::bitset_rank_set(job_id universe)
       gcum_(windows(windows(windows(num_words_, fanout), fanout), fanout) *
                 fanout,
             0),
-      sgcum_(windows(windows(windows(num_words_, fanout), fanout), fanout), 0),
-      hops_(bits::build_fenwick_hops(num_words_)) {
+      sgcum_(windows(windows(windows(num_words_, fanout), fanout), fanout), 0) {
   rebuild_counts();  // establishes the padding bases
 }
 
@@ -181,7 +180,7 @@ bool bitset_rank_set::insert(job_id x) {
   if ((bits_[w] & mask) != 0) return false;
   bits_[w] |= mask;
   apply_delta(w, true);
-  charge_units(fenwick_update_hops(w));  // reference update cost
+  charge_units(bits::fenwick_update_hops(w, num_words_));  // reference cost
   ++count_;
   return true;
 }
@@ -193,7 +192,7 @@ bool bitset_rank_set::erase(job_id x) {
   if ((bits_[w] & mask) == 0) return false;
   bits_[w] &= ~mask;
   apply_delta(w, false);
-  charge_units(fenwick_update_hops(w));  // reference update cost
+  charge_units(bits::fenwick_update_hops(w, num_words_));  // reference cost
   --count_;
   return true;
 }

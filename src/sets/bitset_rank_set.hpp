@@ -96,12 +96,6 @@ class bitset_rank_set {
     if (oc_ != nullptr) ++oc_->local_ops;
   }
 
-  /// Hop count of the reference Fenwick-tree update starting at word w —
-  /// the exact per-update charge of the reference implementation, read from
-  /// a table built once at construction (the chain walk is a serial
-  /// dependency too slow for the update hot path).
-  [[nodiscard]] usize fenwick_update_hops(usize w) const { return hops_[w]; }
-
   /// Single-pass rebuild of the cumulative counters from bits_; asserts the
   /// counter total matches count_ in debug builds.
   void rebuild_counts();
@@ -119,7 +113,6 @@ class bitset_rank_set {
   std::vector<std::uint32_t> sbcum_;   // per superblock: cumulative within group
   std::vector<std::uint32_t> gcum_;    // per group: cumulative within supergroup
   std::vector<std::uint64_t> sgcum_;   // per supergroup: global cumulative
-  std::vector<std::uint8_t> hops_;     // reference Fenwick update hop counts
   op_counter* oc_ = nullptr;
 };
 

@@ -14,8 +14,7 @@ lane_free_arena::lane_free_arena(job_id universe, usize lanes)
       log_floor_(num_words_ == 0 ? 0 : ilog2(num_words_)),
       words_(num_words_ * lanes_, 0),
       sb_count_(num_sbs_ * lanes_, 0),
-      count_(lanes_, static_cast<usize>(universe)),
-      hops_(bits::build_fenwick_hops(num_words_)) {
+      count_(lanes_, static_cast<usize>(universe)) {
   assert(lanes_ >= 1);
   if (num_words_ == 0) return;
   const usize tail = static_cast<usize>(universe_) % 64;

@@ -2,12 +2,11 @@
 // holds R replica lanes of the same universe in a single allocation — a
 // words plane (lane-major: lane `l`'s bitmap is the contiguous row
 // words[l*num_words .. l*num_words+num_words)), a superblock-count plane,
-// and a cardinality array — plus charge-model tables (Fenwick hop counts,
-// log floor) built once and shared by every lane. The block driver runs one
-// lane to completion at a time (lanes are independent), so the contiguous
-// row keeps a lane's hot words in the same cache lines a scalar bitmap
-// would use, while the shared tables and the one-pass word-parallel
-// initialization amortize across the block what R scalar runs would each
+// and a cardinality array — plus the charge-model log floor shared by every
+// lane. The block driver runs one lane to completion at a time (lanes are
+// independent), so the contiguous row keeps a lane's hot words in the same
+// cache lines a scalar bitmap would use, while the one-pass word-parallel
+// initialization amortizes across the block what R scalar runs would each
 // redo.
 //
 // lane_free_set is a non-owning view of one lane satisfying the same
@@ -16,7 +15,7 @@
 // engages identically. The view caches raw pointers into the arena planes
 // (no per-access indirection through the arena object). Charged work is the
 // point of care: every operation charges exactly what bitset_rank_set
-// charges — the shared Fenwick-hops table for updates, log_floor+1 plus
+// charges — the closed-form Fenwick hop count for updates, log_floor+1 plus
 // rem-1 for select, popcount(word index)+1 for rank — all computed
 // arithmetically from the same formulas (the cost model is semantic, not
 // representational), so per-replica charged op counts are bit-identical to
@@ -72,7 +71,6 @@ class lane_free_arena {
   std::vector<std::uint64_t> words_;      // [lane * num_words + w]
   std::vector<std::uint16_t> sb_count_;   // [lane * num_sbs + sb]
   std::vector<usize> count_;              // [lane]
-  std::vector<std::uint8_t> hops_;        // shared Fenwick update hop counts
 };
 
 /// One lane of a lane_free_arena. Trivially copyable view holding raw
@@ -85,7 +83,6 @@ class lane_free_set {
       : words_(arena.words_.data() + lane * arena.num_words_),
         sb_count_(arena.sb_count_.data() + lane * arena.num_sbs_),
         count_(arena.count_.data() + lane),
-        hops_(arena.hops_.data()),
         universe_(arena.universe_),
         num_words_(arena.num_words_),
         log_floor_(arena.log_floor_) {
@@ -112,7 +109,7 @@ class lane_free_set {
     words_[w] |= mask;
     ++sb_count_[w / lane_free_arena::words_per_sb];
     ++*count_;
-    charge_units(hops_[w]);  // reference update cost
+    charge_units(bits::fenwick_update_hops(w, num_words_));  // reference cost
     return true;
   }
 
@@ -124,7 +121,7 @@ class lane_free_set {
     words_[w] &= ~mask;
     --sb_count_[w / lane_free_arena::words_per_sb];
     --*count_;
-    charge_units(hops_[w]);  // reference update cost
+    charge_units(bits::fenwick_update_hops(w, num_words_));  // reference cost
     return true;
   }
 
@@ -202,7 +199,6 @@ class lane_free_set {
   std::uint64_t* words_ = nullptr;       // this lane's contiguous row
   std::uint16_t* sb_count_ = nullptr;    // this lane's superblock counts
   usize* count_ = nullptr;               // this lane's cardinality
-  const std::uint8_t* hops_ = nullptr;   // shared charge table
   job_id universe_ = 0;
   usize num_words_ = 0;
   std::uint32_t log_floor_ = 0;

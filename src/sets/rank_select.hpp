@@ -13,12 +13,12 @@
 // discovered exclusions, so there are at most |SET2|+1 iterations.
 //
 // Word-parallel engine: when SET1 exposes its bitmap words (word_rank_set,
-// i.e. bitset_rank_set) and the try_set carries its shadow bitmap, the
-// c(x) and |SET1 \ SET2| queries run directly over the materialized
-// SET1 ∩ SET2 word view — AND + popcount over the <= |SET2| occupied shadow
-// words — instead of per-entry contains() probes. The charged operation
-// counts are kept bit-identical to the probe path (the cost model is
-// semantic); only the instruction count changes.
+// i.e. bitset_rank_set and lane_free_set) and TRY is large enough, the
+// c(x) and |SET1 \ SET2| queries run as one pass over TRY's sorted entries
+// that merges same-word bits into one mask and ANDs it against the SET1
+// word — AND + popcount per distinct word instead of per-entry contains()
+// probes. The charged operation counts are kept bit-identical to the probe
+// path (the cost model is semantic); only the instruction count changes.
 #pragma once
 
 #include <bit>
@@ -56,43 +56,17 @@ concept word_rank_set = rank_set<S> && requires(const S cs, usize i, usize n) {
 
 namespace detail {
 
-/// |included ∩ excluded| restricted to jobs <= x, word-parallel, by one of
-/// two strategies chosen from the observed density:
-///
-/// - Dense (average >= 2 entries per occupied bitmap word, the clustered
-///   announcement pattern interval-splitting produces): iterate the
-///   occupied shadow words — one AND + popcount per word replaces every
-///   contains() probe that word would have cost.
-/// - Sparse: a single pass over the sorted entries that merges same-word
-///   bits into one mask as it goes — at most one included-word load per
-///   distinct word and no lookahead, so it never does more work than the
-///   per-entry probe path.
+/// |included ∩ excluded| restricted to jobs <= x, word-parallel: a single
+/// pass over the sorted entries that merges same-word bits into one mask as
+/// it goes — at most one included-word load per distinct word and no
+/// lookahead, so it never does more work than the per-entry probe path.
 template <word_rank_set S>
 usize overlap_le_words(const S& included, const try_set& excluded, job_id x) {
-  if (x == 0) return 0;
-  const auto entries = excluded.entries();
-  const auto shadow = excluded.shadow_words();
-  const auto occupied = excluded.occupied_words();
   const usize num_words = included.num_words();
-  const usize xw = (static_cast<usize>(x) - 1) / 64;
-  const unsigned xbit = static_cast<unsigned>((x - 1) % 64);
-  const std::uint64_t xmask =
-      xbit == 63 ? ~std::uint64_t{0} : ((std::uint64_t{1} << (xbit + 1)) - 1);
   usize c = 0;
-
-  if (occupied.size() * 2 <= entries.size()) {
-    for (const std::uint32_t w : occupied) {
-      if (w > xw || w >= num_words) continue;
-      std::uint64_t mask = shadow[w];
-      if (w == xw) mask &= xmask;  // trim shadow entries beyond x
-      c += static_cast<usize>(std::popcount(included.word(w) & mask));
-    }
-    return c;
-  }
-
   usize cur_w = ~usize{0};
   std::uint64_t cur_mask = 0;
-  for (const auto& e : entries) {
+  for (const auto& e : excluded.entries()) {
     if (e.job > x) break;
     const usize w = (static_cast<usize>(e.job) - 1) / 64;
     const std::uint64_t bit = std::uint64_t{1} << ((e.job - 1) % 64);
@@ -125,7 +99,7 @@ template <rank_set S>
 usize excluded_at_or_below(const S& included, const try_set& excluded, job_id x,
                            op_counter* oc) {
   if constexpr (word_rank_set<S>) {
-    if (excluded.size() > word_parallel_threshold && excluded.has_shadow()) {
+    if (excluded.size() > word_parallel_threshold) {
       if (x == 0) return 0;
       // Charge exactly what the probe path would: one unit here plus one
       // contains() unit on `included` per excluded entry <= x.
@@ -148,7 +122,7 @@ usize excluded_at_or_below(const S& included, const try_set& excluded, job_id x,
 template <rank_set S>
 usize size_excluding(const S& set1, const try_set& set2, op_counter* oc = nullptr) {
   if constexpr (word_rank_set<S>) {
-    if (set2.size() > word_parallel_threshold && set2.has_shadow()) {
+    if (set2.size() > word_parallel_threshold) {
       const usize probes = set2.size();
       if (oc != nullptr) oc->local_ops += probes;
       set1.charge_units(probes);
@@ -169,8 +143,9 @@ usize size_excluding(const S& set1, const try_set& set2, op_counter* oc = nullpt
 template <rank_set S>
 job_id rank_excluding(const S& set1, const try_set& set2, usize i,
                       op_counter* oc = nullptr) {
-  assert(i >= 1);
-  assert(i <= size_excluding(set1, set2, nullptr));
+  // Only uncharged checks here: size_excluding would charge set1's counter
+  // and make Debug builds count more work than Release ones.
+  assert(i >= 1 && i <= set1.size());
   usize idx = i;
   while (true) {
     const job_id x = set1.select(idx);

@@ -9,17 +9,12 @@
 // collisions to process pairs, which is how bench E5 validates the pairwise
 // collision bound of Lemma 5.5.
 //
-// When bound to a job universe (bind_universe), the set additionally keeps a
-// shadow bitmap over [1..U] plus the short list of bitmap words it occupies
-// (at most |TRY| < m of them). Word-parallel callers (rank_select.hpp) can
-// then evaluate FREE \ TRY queries as AND-NOT + popcount over those words
-// instead of per-entry probes. The shadow is pure representation: it never
-// charges the op_counter and never changes observable membership.
+// The set holds no universe-sized state: everything the algorithm asks of
+// TRY — membership, insert, the sorted entries the FREE \ TRY operators in
+// rank_select.hpp merge against — is answered from the < m entries alone.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -40,46 +35,19 @@ class try_set {
 
   void set_counter(op_counter* oc) { oc_ = oc; }
 
-  /// Attaches a shadow bitmap over [1..universe] and materializes any
-  /// current entries into it. Inserting a job above `universe` afterwards is
-  /// an error (the KK automaton never does: announcements are job ids).
-  void bind_universe(job_id universe);
-
-  /// True when bind_universe has been called.
-  [[nodiscard]] bool has_shadow() const { return shadow_universe_ != 0; }
-
-  /// The shadow bitmap words (empty span when unbound). Only the words
-  /// listed by occupied_words() are valid — clear() advances a generation
-  /// stamp instead of zeroing, and stale words are lazily reset on the next
-  /// insert that touches them.
-  [[nodiscard]] std::span<const std::uint64_t> shadow_words() const {
-    return shadow_;
-  }
-
-  /// Indices of shadow words with at least one bit set (unsorted, <= size()).
-  [[nodiscard]] std::span<const std::uint32_t> occupied_words() const {
-    return occupied_;
+  /// Records the job universe [1..universe]; inserting a job above it is
+  /// then an error (the KK automaton never does: announcements are job ids).
+  void bind_universe(job_id universe) {
+    assert(universe >= 1);
+    universe_ = universe;
   }
 
   // The per-step operations are defined inline below the class: the KK
   // automaton touches TRY on nearly every action, and |TRY| < m keeps each
   // of them a handful of instructions — call overhead would dominate.
 
-  /// Resets to empty (compNext does this on every invocation). O(1): the
-  /// shadow generation advances, invalidating every occupied word at once.
-  void clear() {
-    entries_.clear();
-    occupied_.clear();
-    if (shadow_universe_ != 0) {
-      // O(1) shadow reset: advancing the generation invalidates every word;
-      // shadow_set lazily zeroes a word the first time a new generation
-      // touches it. On the (rare) wrap, start the stamps over.
-      if (++gen_ == 0) {
-        std::fill(word_gen_.begin(), word_gen_.end(), 0u);
-        gen_ = 1;
-      }
-    }
-  }
+  /// Resets to empty (compNext does this on every invocation).
+  void clear() { entries_.clear(); }
 
   /// Inserts (job, announcer); if the job is already present the announcer
   /// is refreshed to the most recent reader observation. Returns true if the
@@ -88,21 +56,12 @@ class try_set {
 
   [[nodiscard]] bool contains(job_id j) const {
     charge(clamped_log2(entries_.size() + 1));
-    const usize pos = lower_bound(j);
-    return pos < entries_.size() && entries_[pos].job == j;
+    return peek(j);
   }
 
-  /// Uncharged membership probe for cache-maintenance bookkeeping: O(1) via
-  /// the shadow bitmap when bound, binary search otherwise. Never touches
-  /// the op_counter — callers use it for invalidation decisions that the
-  /// paper's cost model does not see.
+  /// Uncharged membership probe (binary search over the < m entries) for
+  /// bookkeeping the paper's cost model does not see.
   [[nodiscard]] bool peek(job_id j) const {
-    if (shadow_universe_ != 0) {
-      if (j < 1 || j > shadow_universe_) return false;
-      const usize w = (static_cast<usize>(j) - 1) / 64;
-      if (word_gen_[w] != gen_) return false;  // stale word: empty this gen
-      return (shadow_[w] >> ((j - 1) % 64)) & 1u;
-    }
     const usize pos = lower_bound(j);
     return pos < entries_.size() && entries_[pos].job == j;
   }
@@ -149,27 +108,13 @@ class try_set {
     return lo;
   }
 
-  void shadow_set(job_id j) {
-    assert(j >= 1 && j <= shadow_universe_);
-    const usize w = (static_cast<usize>(j) - 1) / 64;
-    if (word_gen_[w] != gen_) {
-      word_gen_[w] = gen_;
-      shadow_[w] = 0;
-      occupied_.push_back(static_cast<std::uint32_t>(w));
-    }
-    shadow_[w] |= std::uint64_t{1} << ((j - 1) % 64);
-  }
-
   std::vector<entry> entries_;
-  std::vector<std::uint64_t> shadow_;    // bit (j-1) set <=> j in set
-  std::vector<std::uint32_t> occupied_;  // words of shadow_ with bits set
-  std::vector<std::uint32_t> word_gen_;  // shadow word valid iff == gen_
-  std::uint32_t gen_ = 1;
-  job_id shadow_universe_ = 0;
+  job_id universe_ = 0;
   op_counter* oc_ = nullptr;
 };
 
 inline bool try_set::insert(job_id j, process_id announcer) {
+  assert(universe_ == 0 || j <= universe_);
   const usize pos = lower_bound(j);
   charge(clamped_log2(entries_.size() + 1));
   if (pos < entries_.size() && entries_[pos].job == j) {
@@ -179,7 +124,6 @@ inline bool try_set::insert(job_id j, process_id announcer) {
   charge(entries_.size() - pos + 1);  // shift cost of the vector insert
   entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(pos),
                   entry{j, announcer});
-  if (shadow_universe_ != 0) shadow_set(j);
   return true;
 }
 

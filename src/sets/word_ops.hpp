@@ -19,7 +19,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <vector>
 
 #include "util/types.hpp"
 
@@ -105,27 +104,33 @@ inline unsigned select_in_word(std::uint64_t x, unsigned k) {
   return select_in_word_portable(x, k);
 }
 
-// ----- charge-model tables and lane-plane (SoA) kernels --------------------
+// ----- charge-model arithmetic and lane-plane (SoA) kernels -----------------
 // Shared by bitset_rank_set (one lane) and lane_free_set (R replica lanes of
 // the batched engine, words laid out lane-major as words[lane * num_words + w]
 // so each lane's bitmap is one contiguous row of the arena plane). Everything
-// here is portable scalar code — no ISA assumption beyond std::popcount —
+// here is portable scalar code — no ISA assumption beyond the <bit> ops —
 // because the batched kernel must run identically on the AMO_ENABLE_SIMD=OFF
 // build.
 
-/// hops[w] = length of the reference Fenwick update chain from word w:
-/// i = w+1, then i += lowbit(i) while i <= num_words. This is the exact
-/// per-update charge of the reference implementation, tabled because the
-/// chain walk is a serial dependency too slow for the update hot path.
-/// Built back-to-front so each entry is one step plus its successor's count.
-inline std::vector<std::uint8_t> build_fenwick_hops(usize num_words) {
-  std::vector<std::uint8_t> hops(num_words, 0);
-  for (usize w = num_words; w-- > 0;) {
-    const usize next = (w + 1) + ((w + 1) & (~(w + 1) + 1));  // 1-based
-    hops[w] =
-        static_cast<std::uint8_t>(1 + (next <= num_words ? hops[next - 1] : 0));
-  }
-  return hops;
+/// Length of the reference Fenwick update chain from word w of a
+/// num_words-word array: i = w+1, then i += lowbit(i) while i <= N. This is
+/// the exact per-update charge of the reference implementation, in closed
+/// form because the chain walk is a serial dependency too slow for the
+/// update hot path. Each hop sets the lowest zero bit of i above its lowest
+/// set bit (and clears the bits below); the hop stays <= N exactly while
+/// that zero bit lies at or below h = msb(i ^ N), the highest bit where i
+/// and N differ. So hops = 1 + the number of zero bits of i in
+/// (ctz(i), h], and 1 when i = N or that range is empty.
+/// Requires w < num_words.
+inline usize fenwick_update_hops(usize w, usize num_words) {
+  const std::uint64_t i = static_cast<std::uint64_t>(w) + 1;
+  const auto lo = static_cast<unsigned>(std::countr_zero(i)) + 1;
+  const auto hi = static_cast<unsigned>(
+      std::bit_width(i ^ static_cast<std::uint64_t>(num_words)));
+  if (hi <= lo) return 1;  // lo <= 63 below, so both shifts are defined
+  const std::uint64_t range = (~std::uint64_t{0} >> (64 - hi)) &
+                              (~std::uint64_t{0} << lo);
+  return 1 + static_cast<usize>(std::popcount(~i & range));
 }
 
 /// Fills every lane's bitmap with the full universe: one all-ones pass over

@@ -16,9 +16,9 @@ random_adversary::random_adversary(std::uint64_t seed, std::uint64_t crash_num,
 
 decision random_adversary::decide(const sched_view& v) {
   const process_id pid =
-      v.runnable[static_cast<usize>(rng_.below(v.runnable.size()))];
+      v.runnable[static_cast<usize>(pick_.below(rng_, v.runnable.size()))];
   if (crash_num_ > 0 && v.crashes_used < v.crash_budget &&
-      rng_.chance(crash_num_, crash_den_)) {
+      coin_.below(rng_, crash_den_) < crash_num_) {
     return {decision::kind::crash, pid};
   }
   return {decision::kind::step, pid};

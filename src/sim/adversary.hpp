@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/automaton.hpp"
+#include "util/fastdiv.hpp"
 #include "util/prng.hpp"
 #include "util/types.hpp"
 
@@ -40,7 +41,7 @@ struct sched_view {
 struct decision {
   enum class kind : std::uint8_t { step, crash };
   kind what = kind::step;
-  process_id pid = 1;  ///< must be runnable
+  process_id pid = 1;  ///< must be runnable (scheduler::run throws otherwise)
 };
 
 class adversary {
@@ -65,7 +66,9 @@ class round_robin_adversary final : public adversary {
 };
 
 /// Uniformly random runnable process each round; with probability
-/// crash_num/crash_den (and while budget lasts) crashes it instead.
+/// crash_num/crash_den (and while budget lasts) crashes it instead. Both
+/// draws go through a bounded_draw cache, so they are divide-free yet
+/// bit-identical to xoshiro256::below / chance.
 class random_adversary final : public adversary {
  public:
   explicit random_adversary(std::uint64_t seed, std::uint64_t crash_num = 0,
@@ -75,6 +78,8 @@ class random_adversary final : public adversary {
 
  private:
   xoshiro256 rng_;
+  bounded_draw pick_;  ///< runnable-size draws
+  bounded_draw coin_;  ///< crash-chance draws (constant bound crash_den)
   std::uint64_t crash_num_;
   std::uint64_t crash_den_;
 };

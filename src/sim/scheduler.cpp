@@ -1,6 +1,8 @@
 #include "sim/scheduler.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "util/math.hpp"
 
@@ -13,12 +15,15 @@ scheduler::scheduler(std::vector<automaton*> processes)
     assert(processes_[i]->id() == i + 1 && "processes must be pid-ordered");
   }
   runnable_.reserve(processes_.size());
+  is_runnable_.assign(processes_.size(), 0);
 }
 
 void scheduler::rebuild_runnable() {
   runnable_.clear();
   for (const automaton* p : processes_) {
-    if (p->runnable()) runnable_.push_back(p->id());
+    const bool r = p->runnable();
+    is_runnable_[p->id() - 1] = r ? 1 : 0;
+    if (r) runnable_.push_back(p->id());
   }
 }
 
@@ -28,9 +33,14 @@ run_result scheduler::run(adversary& adv, usize crash_budget, usize max_steps) {
   while (!runnable_.empty() && result.total_steps < max_steps) {
     const sched_view view{processes_, runnable_, result.total_steps,
                           result.crashes, crash_budget};
-    decision d = adv.decide(view);
+    const decision d = adv.decide(view);
+    if (d.pid < 1 || d.pid > processes_.size() || is_runnable_[d.pid - 1] == 0) {
+      throw std::logic_error(std::string("adversary '") + adv.name() +
+                             "' named process " + std::to_string(d.pid) +
+                             ", which is not a runnable process in [1.." +
+                             std::to_string(processes_.size()) + "]");
+    }
     automaton* target = processes_[d.pid - 1];
-    assert(target->runnable() && "adversary must pick a runnable process");
     if (d.what == decision::kind::crash && result.crashes < crash_budget) {
       target->crash();
       ++result.crashes;

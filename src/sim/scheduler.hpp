@@ -5,6 +5,7 @@
 // precisely the executions quantified over in the paper's proofs.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/automaton.hpp"
@@ -28,7 +29,9 @@ class scheduler {
 
   /// Runs under `adv` until no process is runnable or `max_steps` actions
   /// executed. `crash_budget` is the paper's f (at most m-1 makes sense;
-  /// the scheduler enforces whatever is passed).
+  /// the scheduler enforces whatever is passed). Throws std::logic_error,
+  /// naming the adversary, if a decision names a pid outside [1..m] or a
+  /// process that is not runnable.
   run_result run(adversary& adv, usize crash_budget, usize max_steps);
 
  private:
@@ -36,6 +39,7 @@ class scheduler {
 
   std::vector<automaton*> processes_;
   std::vector<process_id> runnable_;
+  std::vector<std::uint8_t> is_runnable_;  ///< by pid-1; mirrors runnable_
 };
 
 /// A defensive per-run action limit for wait-freedom tests: generous enough

@@ -1,5 +1,8 @@
 #include "sim/trace.hpp"
 
+#include <cstdint>
+#include <limits>
+
 namespace amo::sim {
 
 std::string trace::serialize() const {
@@ -30,9 +33,13 @@ bool trace::parse(std::string_view text, trace& out) {
     }
     ++i;
     if (i == n || text[i] < '0' || text[i] > '9') return false;
-    usize pid = 0;
+    // Accumulate in 64 bits and reject as soon as the value leaves the
+    // process_id range, so long digit strings can neither wrap nor be
+    // truncated into a valid-looking pid.
+    std::uint64_t pid = 0;
     while (i < n && text[i] >= '0' && text[i] <= '9') {
-      pid = pid * 10 + static_cast<usize>(text[i] - '0');
+      pid = pid * 10 + static_cast<std::uint64_t>(text[i] - '0');
+      if (pid > std::numeric_limits<process_id>::max()) return false;
       ++i;
     }
     if (pid == 0) return false;

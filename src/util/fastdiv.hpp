@@ -5,9 +5,11 @@
 // The adversary decision loop computes `draw % runnable_count` once per
 // scheduled action, and the rejection threshold `(0 - bound) % bound` once
 // per bound. The bound only changes when a process terminates or crashes, so
-// the batched replica kernel caches {bound, threshold, reciprocal} and turns
-// the per-step hardware divide into two multiplies — while producing bit-for-
-// bit the same remainders, so the adversary's decision stream is unchanged.
+// both random schedulers — sim::random_adversary and the batched replica
+// kernel's inlined copy of it — keep a bounded_draw per bound that caches
+// {bound, threshold, reciprocal} and turns the per-step hardware divides
+// into multiplies, while producing bit-for-bit the same remainders: the
+// adversary's decision stream is unchanged.
 //
 // The trick: let M = ceil(2^128 / d). Then for any 64-bit x,
 //   x mod d = high128(lowbits * d)   where lowbits = M * x mod 2^128.

@@ -9,7 +9,9 @@
 // The generator bodies are header-inline: adversary decide() loops draw once
 // per scheduled action, and a cross-TU call per draw was measurable on the
 // engine hot path. The batched replica kernel (exp/batch.cpp) additionally
-// relies on inlining these bodies next to its lane loop.
+// relies on inlining these bodies next to its lane loop. Those hot loops
+// draw bounded values through util/fastdiv.hpp's bounded_draw rather than
+// below()/chance(): same values and draw count, no hardware divide.
 #pragma once
 
 #include <array>

@@ -3,9 +3,11 @@
 // Section 6 flag states), and the state components must respect the
 // monotonicity the correctness proofs lean on:
 //   * |TRY_p| < m at all times (the paper's |TRY_p| <= m-1),
-//   * FREE_p only shrinks, DONE_p only grows (Section 3: "no job is removed
-//     from DONE_p or added to FREE_p"),
-//   * FREE and DONE stay disjoint,
+//   * FREE_p only shrinks (Section 3: "no job is removed from DONE_p or
+//     added to FREE_p"),
+//   * DONE_p, held implicitly as the jobs gone from FREE_p, only ever holds
+//     jobs recorded in some shared done row, and a DONE collision at
+//     `check` names such a job,
 //   * announcements precede every perform, and NEXT is stable from
 //     announcement through record.
 #include <gtest/gtest.h>
@@ -94,7 +96,6 @@ void run_and_check(kk_mode mode, usize n, usize m, usize beta,
   }
 
   std::vector<usize> prev_free(m + 1);
-  std::vector<usize> prev_done(m + 1, 0);
   for (process_id pid = 1; pid <= m; ++pid) {
     prev_free[pid] = procs[pid - 1]->free_view().size();
   }
@@ -112,6 +113,7 @@ void run_and_check(kk_mode mode, usize n, usize m, usize beta,
     sim_kk& proc = *procs[p - 1];
 
     const kk_status before = proc.status();
+    const usize done_collisions = proc.stats().collisions_done;
     proc.step();
     const kk_status after = proc.status();
     ASSERT_TRUE(allowed.contains({before, after}))
@@ -121,17 +123,32 @@ void run_and_check(kk_mode mode, usize n, usize m, usize beta,
     // Monotonicity and size invariants.
     ASSERT_LT(proc.try_view().size(), m) << "|TRY| reached m";
     const usize free_now = proc.free_view().size();
-    const usize done_now = proc.done_view().size();
     ASSERT_LE(free_now, prev_free[p]) << "FREE grew";
-    ASSERT_GE(done_now, prev_done[p]) << "DONE shrank";
     prev_free[p] = free_now;
-    prev_done[p] = done_now;
 
-    // FREE and DONE disjoint (a job enters DONE exactly when it leaves FREE).
-    if (done_now > 0 && guard % 37 == 0) {
-      for (const job_id j : proc.done_view().to_vector()) {
-        ASSERT_FALSE(proc.free_view().contains(j))
-            << "job " << j << " in both FREE and DONE";
+    // Jobs recorded in any shared done row, as a mask over [1..n].
+    const auto recorded = [&mem, m, n] {
+      std::vector<bool> rec(n + 1, false);
+      for (process_id q = 1; q <= m; ++q) {
+        for (const job_id j : mem.peek_done_row(q)) rec[j] = true;
+      }
+      return rec;
+    };
+    if (before == kk_status::check &&
+        proc.stats().collisions_done != done_collisions) {
+      ASSERT_FALSE(proc.free_view().contains(proc.current_next()))
+          << "DONE collision on a job still in FREE";
+      ASSERT_TRUE(recorded()[proc.current_next()])
+          << "DONE collision on job " << proc.current_next()
+          << ", which nobody recorded";
+    }
+    if (guard % 37 == 0) {
+      // Jobs leave FREE only when seen in a done row (the implicit DONE).
+      const std::vector<bool> rec = recorded();
+      for (job_id j = 1; j <= n; ++j) {
+        if (!proc.free_view().contains(j)) {
+          ASSERT_TRUE(rec[j]) << "job " << j << " left FREE unrecorded";
+        }
       }
     }
   }

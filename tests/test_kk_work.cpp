@@ -2,15 +2,24 @@
 //  * pairwise collisions respect Lemma 5.5's 2*ceil(n/(m|q-p|)) bound,
 //  * total collisions stay below Theorem 5.6's 4(n+1) lg m,
 //  * total work stays within a constant of the n*m*lg n*lg m envelope.
-// Also internal consistency of the work accounting itself.
-// Runs on the experiment engine (exp::run over run_spec cells).
+// Also internal consistency of the work accounting itself, and pinned
+// per-process kk_stats (charged work, actions, collisions by kind) on fixed
+// seeds, so a representation change cannot move the cost model.
+// Runs on the experiment engine (exp::run over run_spec cells), except the
+// pinned-stats test, which drives kk_process directly to read its stats.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
+#include <vector>
 
 #include "analysis/bounds.hpp"
+#include "core/kk_process.hpp"
 #include "exp/engine.hpp"
+#include "mem/sim_memory.hpp"
+#include "sets/ostree.hpp"
 #include "sim/adversary.hpp"
+#include "sim/scheduler.hpp"
 
 namespace amo {
 namespace {
@@ -122,6 +131,95 @@ TEST(Work, PerProcessWorkIsBalancedUnderFairSchedule) {
   }
   EXPECT_LT(static_cast<double>(hi),
             4.0 * static_cast<double>(lo) + 1000.0);
+}
+
+/// Totals of every kk_stats field over a run's processes, plus a
+/// pid-weighted checksum so that work moving between processes shows too.
+struct stats_digest {
+  std::uint64_t local_ops = 0;
+  std::uint64_t shared_reads = 0;
+  std::uint64_t shared_writes = 0;
+  std::uint64_t actions = 0;
+  std::uint64_t announces = 0;
+  std::uint64_t performs = 0;
+  std::uint64_t records = 0;
+  std::uint64_t comp_nexts = 0;
+  std::uint64_t collisions_try = 0;
+  std::uint64_t collisions_done = 0;
+  std::uint64_t weighted = 0;
+
+  friend bool operator==(const stats_digest&, const stats_digest&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const stats_digest& d) {
+    return os << "{" << d.local_ops << ", " << d.shared_reads << ", "
+              << d.shared_writes << ", " << d.actions << ", " << d.announces
+              << ", " << d.performs << ", " << d.records << ", "
+              << d.comp_nexts << ", " << d.collisions_try << ", "
+              << d.collisions_done << ", " << d.weighted << "}";
+  }
+};
+
+template <rank_set FS>
+stats_digest run_digest(usize n, usize m, kk_mode mode, sim::adversary& adv,
+                        usize crash_budget) {
+  sim_memory mem(m, n);
+  std::vector<std::unique_ptr<kk_process<sim_memory, FS>>> procs;
+  std::vector<automaton*> handles;
+  for (process_id pid = 1; pid <= m; ++pid) {
+    kk_config cfg;
+    cfg.pid = pid;
+    cfg.num_processes = m;
+    cfg.mode = mode;
+    procs.push_back(
+        std::make_unique<kk_process<sim_memory, FS>>(mem, cfg, nullptr));
+    handles.push_back(procs.back().get());
+  }
+  sim::scheduler sched(std::move(handles));
+  const sim::run_result res =
+      sched.run(adv, crash_budget, sim::default_step_limit(n, m));
+  EXPECT_TRUE(res.quiescent);
+  stats_digest d;
+  for (const auto& p : procs) {
+    const kk_stats& s = p->stats();
+    d.local_ops += s.work.local_ops;
+    d.shared_reads += s.work.shared_reads;
+    d.shared_writes += s.work.shared_writes;
+    d.actions += s.work.actions;
+    d.announces += s.announces;
+    d.performs += s.performs;
+    d.records += s.records;
+    d.comp_nexts += s.comp_nexts;
+    d.collisions_try += s.collisions_try;
+    d.collisions_done += s.collisions_done;
+    d.weighted += p->id() * (s.work.total() + 7 * s.collisions_try +
+                             13 * s.collisions_done);
+  }
+  return d;
+}
+
+/// The charged work and collision counts are properties of the algorithm
+/// and the cost model, not of the set representation: any representation
+/// must reproduce these exact values, in Release and Debug builds alike.
+TEST(Work, PinnedStatsOnFixedSeeds) {
+  {  // m = 16 > word_parallel_threshold + 1: word-parallel FREE \ TRY paths.
+    sim::random_adversary adv(7, 1, 500);
+    EXPECT_EQ(run_digest<bitset_rank_set>(4096, 16, kk_mode::plain, adv, 8),
+              (stats_digest{915716, 151316, 8167, 179915, 4090, 4077, 4077, 4098, 5, 0, 11002538}));
+  }
+  {  // Long solo quanta leave stale FREE views: DONE collisions.
+    sim::block_adversary adv(5, 200);
+    EXPECT_EQ(run_digest<bitset_rank_set>(512, 6, kk_mode::plain, adv, 0),
+              (stats_digest{42331, 7630, 1018, 11205, 511, 507, 507, 517, 1, 3, 223811}));
+  }
+  {  // Flag states of IterStepKK.
+    sim::random_adversary adv(3);
+    EXPECT_EQ(run_digest<bitset_rank_set>(1024, 12, kk_mode::iter_step, adv, 0),
+              (stats_digest{177476, 36006, 2038, 43184, 1026, 1011, 1011, 1027, 10, 1, 1761933}));
+  }
+  {  // A FREE set without word access (the ablation path of `check`).
+    sim::block_adversary adv(11, 120);
+    EXPECT_EQ(run_digest<ostree>(512, 5, kk_mode::plain, adv, 0),
+              (stats_digest{57611, 6118, 1020, 9699, 512, 508, 508, 517, 0, 4, 236618}));
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/automaton.hpp"
@@ -97,6 +99,76 @@ TEST(Scheduler, CrashBudgetEnforced) {
   // With the budget spent, the remaining two must still be stepped.
   EXPECT_FALSE(result.quiescent);
   EXPECT_EQ(result.total_steps, 10000u);
+}
+
+/// Misbehaving adversary: names the same pid on every decision, as a step
+/// or as a crash, whether or not that process can still act.
+class fixed_pid_adversary final : public sim::adversary {
+ public:
+  fixed_pid_adversary(process_id pid, sim::decision::kind what)
+      : pid_(pid), what_(what) {}
+  sim::decision decide(const sim::sched_view&) override { return {what_, pid_}; }
+  [[nodiscard]] const char* name() const override { return "fixed_pid"; }
+
+ private:
+  process_id pid_;
+  sim::decision::kind what_;
+};
+
+/// Runs `adv` and returns the std::logic_error message ("" if none thrown).
+std::string run_error(sim::scheduler& sched, sim::adversary& adv,
+                      usize crash_budget) {
+  try {
+    sched.run(adv, crash_budget, 100000);
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Scheduler, StepOnTerminatedProcessFailsClosed) {
+  std::vector<std::unique_ptr<countdown>> procs;
+  for (process_id p = 1; p <= 3; ++p) {
+    procs.push_back(std::make_unique<countdown>(p, 5));
+  }
+  sim::scheduler sched(handles(procs));
+  fixed_pid_adversary adv(1, sim::decision::kind::step);
+  const std::string err = run_error(sched, adv, 0);
+  EXPECT_NE(err.find("fixed_pid"), std::string::npos) << err;
+  // Process 1 took its 5 steps; the 6th decision named it terminated and
+  // was refused instead of stepping a finished automaton to the cap.
+  EXPECT_EQ(procs[0]->steps_, 5u);
+  EXPECT_EQ(procs[1]->steps_, 0u);
+}
+
+TEST(Scheduler, CrashOnCrashedProcessFailsClosed) {
+  std::vector<std::unique_ptr<countdown>> procs;
+  for (process_id p = 1; p <= 3; ++p) {
+    procs.push_back(std::make_unique<countdown>(p, 5));
+  }
+  sim::scheduler sched(handles(procs));
+  fixed_pid_adversary adv(2, sim::decision::kind::crash);
+  const std::string err = run_error(sched, adv, 2);
+  EXPECT_NE(err.find("fixed_pid"), std::string::npos) << err;
+  // The first crash is honored; the second names an already-crashed
+  // process and must not spend the remaining budget.
+  EXPECT_TRUE(procs[1]->crashed_);
+  EXPECT_FALSE(procs[0]->crashed_);
+  EXPECT_FALSE(procs[2]->crashed_);
+}
+
+TEST(Scheduler, PidOutsideRangeFailsClosed) {
+  for (const process_id bad : {process_id{0}, process_id{3}}) {
+    std::vector<std::unique_ptr<countdown>> procs;
+    for (process_id p = 1; p <= 2; ++p) {
+      procs.push_back(std::make_unique<countdown>(p, 5));
+    }
+    sim::scheduler sched(handles(procs));
+    fixed_pid_adversary adv(bad, sim::decision::kind::step);
+    const std::string err = run_error(sched, adv, 0);
+    EXPECT_NE(err.find("fixed_pid"), std::string::npos) << "pid " << bad;
+    for (auto& p : procs) EXPECT_EQ(p->steps_, 0u);
+  }
 }
 
 TEST(Scheduler, AllCrashedIsQuiescent) {

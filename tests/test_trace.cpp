@@ -33,6 +33,30 @@ TEST(Trace, ParseRejectsMalformed) {
   EXPECT_EQ(out.size(), 2u);
 }
 
+TEST(Trace, ParseRejectsPidsBeyondProcessIdRange) {
+  sim::trace out;
+  // The largest process_id still parses, for steps and crashes alike.
+  ASSERT_TRUE(sim::trace::parse("s4294967295 c4294967295", out));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out.events()[0].pid, 4294967295u);
+  EXPECT_EQ(out.events()[1].what, sim::decision::kind::crash);
+  // One past it would truncate to pid 1 if accepted; 21+ digits would wrap
+  // a 64-bit accumulator. Every one must be refused, leaving `out` as is.
+  for (const char* bad :
+       {"s4294967296", "s4294967297", "c4294967297", "s1 c4294967297",
+        "s99999999999999999999999", "c18446744073709551617"}) {
+    EXPECT_FALSE(sim::trace::parse(bad, out)) << bad;
+  }
+  EXPECT_EQ(out.size(), 2u);
+  exp::adversary_spec spec;
+  spec.name = "scripted:s4294967297";
+  EXPECT_EQ(exp::make_adversary(spec), nullptr);
+  spec.name = "replay:c4294967297";
+  EXPECT_EQ(exp::make_adversary(spec), nullptr);
+  spec.name = "scripted:s1 c2";
+  EXPECT_NE(exp::make_adversary(spec), nullptr);
+}
+
 TEST(Trace, PrefixTruncates) {
   sim::trace t;
   for (process_id p = 1; p <= 5; ++p) t.append({sim::decision::kind::step, p});

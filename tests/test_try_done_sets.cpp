@@ -1,10 +1,18 @@
 // Unit tests for try_set (the < m-element TRY set with announcer
-// attribution) and done_set (the DONE bitmap).
+// attribution). DONE has no structure of its own: kk_process holds it as
+// the jobs gone from FREE, which test_kk_invariants and the model
+// co-simulation in test_model_check check step by step.
 #include <gtest/gtest.h>
 
-#include <set>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
-#include "sets/done_set.hpp"
+#include <memory>
+#include <set>
+#include <vector>
+
+#include "sets/bitset_rank_set.hpp"
 #include "sets/try_set.hpp"
 #include "util/prng.hpp"
 
@@ -68,56 +76,46 @@ TEST(TrySet, CounterCharges) {
   EXPECT_GT(oc.local_ops, 0u);
 }
 
-TEST(TrySetShadow, BindMaterializesExistingEntries) {
+TEST(TrySet, BindUniverseKeepsEntriesAndAdmitsTheBound) {
   try_set t;
   t.insert(5, 1);
-  t.insert(130, 2);
-  EXPECT_FALSE(t.has_shadow());
   t.bind_universe(200);
-  ASSERT_TRUE(t.has_shadow());
+  // Binding neither drops nor duplicates existing entries.
+  ASSERT_EQ(t.size(), 1u);
   EXPECT_TRUE(t.peek(5));
-  EXPECT_TRUE(t.peek(130));
-  EXPECT_FALSE(t.peek(6));
-  EXPECT_FALSE(t.peek(201));  // out of universe
+  EXPECT_TRUE(t.insert(200, 2));  // the bound itself is in range
+  EXPECT_TRUE(t.peek(200));
+  EXPECT_FALSE(t.peek(201));
 }
 
-TEST(TrySetShadow, ShadowTracksInsertAndClear) {
+#ifndef NDEBUG
+TEST(TrySetDeathTest, InsertAboveBoundIsRejected) {
   try_set t;
-  t.bind_universe(1000);
-  t.insert(64, 1);   // last bit of word 0
-  t.insert(65, 1);   // first bit of word 1
-  t.insert(70, 2);   // same word as 65
-  EXPECT_EQ(t.occupied_words().size(), 2u);
-  EXPECT_TRUE(t.peek(64));
-  EXPECT_TRUE(t.peek(70));
-  t.clear();
-  EXPECT_TRUE(t.empty());
-  EXPECT_FALSE(t.peek(64));
-  EXPECT_FALSE(t.peek(70));
-  EXPECT_TRUE(t.occupied_words().empty());
-  // Reuse after clear: the generation stamp must lazily reset stale words.
-  t.insert(64, 3);
-  EXPECT_TRUE(t.peek(64));
-  EXPECT_FALSE(t.peek(65));  // same word as a pre-clear entry, now absent
-  ASSERT_EQ(t.occupied_words().size(), 1u);
-  const auto w = t.occupied_words()[0];
-  EXPECT_EQ(t.shadow_words()[w], std::uint64_t{1} << 63);
+  t.bind_universe(64);
+  EXPECT_DEATH(t.insert(65, 1), "");
 }
+#endif
 
-TEST(TrySetShadow, ManyGenerationsStayConsistent) {
+TEST(TrySet, PeekMatchesReferenceAndNeverCharges) {
+  op_counter oc;
   try_set t;
+  t.set_counter(&oc);
   t.bind_universe(512);
   xoshiro256 rng(99);
   for (int gen = 0; gen < 300; ++gen) {
     std::set<job_id> ref;
-    const int k = static_cast<int>(rng.between(0, 7));
+    const int k = static_cast<int>(rng.between(0, 15));
     for (int i = 0; i < k; ++i) {
       const auto j = static_cast<job_id>(rng.between(1, 512));
       t.insert(j, 1);
       ref.insert(j);
     }
+    const usize charged = oc.local_ops;
     for (job_id j = 1; j <= 512; ++j) {
       ASSERT_EQ(t.peek(j), ref.count(j) == 1) << "gen " << gen << " job " << j;
+    }
+    ASSERT_EQ(oc.local_ops, charged) << "peek charged the op_counter";
+    for (job_id j = 1; j <= 512; ++j) {
       ASSERT_EQ(t.contains(j), ref.count(j) == 1);
     }
     // count_le agrees with the reference at sampled points.
@@ -128,50 +126,46 @@ TEST(TrySetShadow, ManyGenerationsStayConsistent) {
       ASSERT_EQ(t.count_le(x), expect);
     }
     t.clear();
+    ASSERT_TRUE(t.empty());
   }
 }
 
-TEST(DoneSet, InsertContains) {
-  done_set d(100);
-  EXPECT_EQ(d.size(), 0u);
-  EXPECT_TRUE(d.insert(42));
-  EXPECT_FALSE(d.insert(42));  // idempotent
-  EXPECT_TRUE(d.contains(42));
-  EXPECT_FALSE(d.contains(41));
-  EXPECT_EQ(d.size(), 1u);
-}
-
-TEST(DoneSet, OutOfRangeContainsIsFalse) {
-  done_set d(10);
-  EXPECT_FALSE(d.contains(0));
-  EXPECT_FALSE(d.contains(11));
-}
-
-TEST(DoneSet, WordBoundaries) {
-  done_set d(130);
-  for (job_id x : {job_id{63}, job_id{64}, job_id{65}, job_id{128}, job_id{129}}) {
-    EXPECT_TRUE(d.insert(x));
-    EXPECT_TRUE(d.contains(x));
+#if defined(__GLIBC__)
+/// Footprint gate: the per-process set state of a kk_solo-sized run (m = 16
+/// processes, n = 2^20 jobs) — a full FREE bitset_rank_set plus a
+/// universe-bound TRY each, built the way kk_process builds them — must stay
+/// within 3 MB of heap. FREE alone is about 2.6 MB here, so any
+/// universe-sized side structure on TRY (or a second per-process bitmap)
+/// trips the gate.
+TEST(SetFootprint, FreeAndTryAtKkSoloScaleStayUnder3MB) {
+  constexpr usize m = 16;
+  constexpr auto n = static_cast<job_id>(1u << 20);
+  // In-use heap plus mmapped blocks: a 2^20-job bitmap is above the
+  // allocator's mmap threshold.
+  const auto in_use = [] {
+    const struct mallinfo2 mi = mallinfo2();
+    return mi.uordblks + mi.hblkhd;
+  };
+  std::vector<std::unique_ptr<bitset_rank_set>> free_sets;
+  std::vector<std::unique_ptr<try_set>> try_sets;
+  free_sets.reserve(m);
+  try_sets.reserve(m);
+  const std::size_t before = in_use();
+  for (usize p = 0; p < m; ++p) {
+    free_sets.push_back(
+        std::make_unique<bitset_rank_set>(bitset_rank_set::full(n)));
+    try_sets.push_back(std::make_unique<try_set>());
+    try_sets.back()->bind_universe(n);
+    for (process_id q = 1; q < m; ++q) try_sets.back()->insert(q * 4099, q);
   }
-  EXPECT_EQ(d.size(), 5u);
-  const auto v = d.to_vector();
-  EXPECT_EQ(v, (std::vector<job_id>{63, 64, 65, 128, 129}));
-}
-
-TEST(DoneSet, ToVectorSortedComplete) {
-  done_set d(64);
-  xoshiro256 rng(77);
-  std::set<job_id> ref;
-  for (int i = 0; i < 40; ++i) {
-    const job_id x = static_cast<job_id>(rng.between(1, 64));
-    d.insert(x);
-    ref.insert(x);
+  const std::size_t after = in_use();
+  const std::size_t delta = after > before ? after - before : 0;
+  if (delta < m * (n / 8)) {
+    GTEST_SKIP() << "mallinfo2 does not see this allocator (sanitizer build?)";
   }
-  const auto v = d.to_vector();
-  ASSERT_EQ(v.size(), ref.size());
-  usize i = 0;
-  for (const job_id x : ref) EXPECT_EQ(v[i++], x);
+  EXPECT_LE(delta, std::size_t{3} << 20) << "per-process set state grew";
 }
+#endif
 
 }  // namespace
 }  // namespace amo

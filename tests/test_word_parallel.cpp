@@ -2,9 +2,11 @@
 // portable broadword in-word selects against a brute-force bit walk, the
 // bitset_rank_set select/rank paths (both select implementations, forced via
 // the runtime switch) against the std::set oracle and against ostree, and —
-// critically — charge parity: the shadow-bitmap FREE \ TRY fast paths must
+// critically — charge parity: the merged-entry FREE \ TRY word paths must
 // charge exactly the same op_counter units as the per-entry probe paths they
-// replace.
+// replace, checked against fenwick_rank_set (which only has the probe path)
+// and a brute-force charge tally; and the closed-form Fenwick update hop
+// count against the chain walk it replaces.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -12,6 +14,7 @@
 
 #include "rank_set_oracle.hpp"
 #include "sets/bitset_rank_set.hpp"
+#include "sets/fenwick_rank_set.hpp"
 #include "sets/ostree.hpp"
 #include "sets/rank_select.hpp"
 #include "sets/word_ops.hpp"
@@ -130,75 +133,82 @@ TEST(WordParallel, PopcountRangeMatchesRankDifference) {
   }
 }
 
-/// Builds matching (set, try) pairs where one try_set carries the shadow
-/// bitmap and one does not, and asserts both observable results and charged
-/// op_counter units are identical across the probe and word-parallel paths.
-class ShadowParity : public ::testing::TestWithParam<int> {};
+/// Builds a bitset_rank_set (word-parallel paths once |TRY| exceeds
+/// word_parallel_threshold) and a fenwick_rank_set (probe path only) with
+/// the same members, and asserts that results agree with the fenwick oracle
+/// and that charged op_counter units match a brute-force tally of what the
+/// per-entry probe path charges: one unit on the operator plus one
+/// contains() unit per TRY entry examined, plus the select() charges.
+class WordPathParity : public ::testing::TestWithParam<int> {};
 
-TEST_P(ShadowParity, RankExcludingChargesAndResults) {
+TEST_P(WordPathParity, RankExcludingChargesAndResults) {
   const bool clustered = GetParam() != 0;
   xoshiro256 rng(clustered ? 101 : 202);
   for (int round = 0; round < 40; ++round) {
     const auto universe = static_cast<job_id>(rng.between(2000, 1u << 17));
-    bitset_rank_set s1(universe);
-    bitset_rank_set s2(universe);
+    bitset_rank_set words(universe);
+    bitset_rank_set selects(universe);  // charges select() alone
+    fenwick_rank_set oracle(universe);
+    std::set<job_id> members;
     for (int i = 0; i < 3000; ++i) {
       const auto x = static_cast<job_id>(rng.between(1, universe));
-      s1.insert(x);
-      s2.insert(x);
+      words.insert(x);
+      selects.insert(x);
+      oracle.insert(x);
+      members.insert(x);
     }
-    try_set probe;                        // no shadow: reference probe path
-    try_set shadow;                       // shadow bound: word-parallel path
-    shadow.bind_universe(universe);
     // Sizes straddle word_parallel_threshold so both branches of the gate
-    // run; clustered entries exercise the occupied-word strategy, spread
-    // entries the mask-merging strategy.
+    // run; clustered entries share bitmap words, spread entries do not.
+    try_set t;
+    t.bind_universe(universe);
     const usize count = rng.between(1, 31);
     if (clustered) {
       const auto base =
           static_cast<job_id>(rng.between(1, universe - static_cast<job_id>(count)));
-      for (usize i = 0; i < count; ++i) {
-        probe.insert(base + static_cast<job_id>(i), 1);
-        shadow.insert(base + static_cast<job_id>(i), 1);
-      }
+      for (usize i = 0; i < count; ++i) t.insert(base + static_cast<job_id>(i), 1);
     } else {
       for (usize i = 0; i < count; ++i) {
-        const auto j = static_cast<job_id>(rng.between(1, universe));
-        probe.insert(j, 1);
-        shadow.insert(j, 1);
+        t.insert(static_cast<job_id>(rng.between(1, universe)), 1);
       }
     }
-    op_counter oc_probe;
-    op_counter oc_shadow;
-    s1.set_counter(&oc_probe);
-    s2.set_counter(&oc_shadow);
-    probe.set_counter(&oc_probe);
-    shadow.set_counter(&oc_shadow);
-    oc_probe = {};
-    oc_shadow = {};
+    // Brute-force probe-path charge for TRY entries <= x.
+    const auto probe_units = [&t](job_id x) { return 2 * t.count_le(x); };
+    op_counter oc;
+    words.set_counter(&oc);
+    op_counter oc_select;
+    selects.set_counter(&oc_select);
 
-    const usize avail_probe = size_excluding(s1, probe, &oc_probe);
-    const usize avail_shadow = size_excluding(s2, shadow, &oc_shadow);
-    ASSERT_EQ(avail_probe, avail_shadow);
-    ASSERT_EQ(oc_probe.local_ops, oc_shadow.local_ops)
-        << "size_excluding charge parity, |TRY|=" << probe.size();
+    const usize avail = size_excluding(words, t, &oc);
+    ASSERT_EQ(avail, size_excluding(oracle, t));
+    ASSERT_EQ(oc.local_ops, probe_units(universe))
+        << "size_excluding charge parity, |TRY|=" << t.size();
 
-    for (int q = 0; q < 50 && avail_probe > 0; ++q) {
-      const usize i = rng.below(avail_probe) + 1;
-      oc_probe = {};
-      oc_shadow = {};
-      const job_id a = rank_excluding(s1, probe, i, &oc_probe);
-      const job_id b = rank_excluding(s2, shadow, i, &oc_shadow);
-      ASSERT_EQ(a, b) << "rank_excluding result, i=" << i;
-      ASSERT_EQ(oc_probe.local_ops, oc_shadow.local_ops)
-          << "rank_excluding charge parity, i=" << i
-          << " |TRY|=" << probe.size();
-      ASSERT_FALSE(probe.peek(a));
+    for (int q = 0; q < 50 && avail > 0; ++q) {
+      const usize i = rng.below(avail) + 1;
+      oc = {};
+      const job_id got = rank_excluding(words, t, i, &oc);
+      ASSERT_EQ(got, rank_excluding(oracle, t, i)) << "rank_excluding result, i=" << i;
+      ASSERT_FALSE(t.peek(got));
+      // Replay the fixed-point iteration by brute force, tallying charges.
+      oc_select = {};
+      usize expect = 0;
+      for (usize idx = i;;) {
+        const job_id x = selects.select(idx);
+        expect += probe_units(x);
+        usize excluded = 0;
+        for (const auto& e : t.entries()) {
+          if (e.job <= x && members.contains(e.job)) ++excluded;
+        }
+        if (i + excluded == idx) break;
+        idx = i + excluded;
+      }
+      ASSERT_EQ(oc.local_ops, expect + oc_select.local_ops)
+          << "rank_excluding charge parity, i=" << i << " |TRY|=" << t.size();
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(SpreadAndClustered, ShadowParity,
+INSTANTIATE_TEST_SUITE_P(SpreadAndClustered, WordPathParity,
                          ::testing::Values(0, 1));
 
 /// The select/rank charge formulas must match the reference implementation:
@@ -246,6 +256,40 @@ TEST(ChargeModel, UpdateMatchesFenwickHops) {
     oc = {};
     ASSERT_TRUE(s.insert(x));
     EXPECT_EQ(oc.local_ops, chain((x - 1) / 64, 64)) << "insert " << x;
+  }
+}
+
+TEST(ChargeModel, ClosedFormHopsMatchChainWalk) {
+  const auto chain = [](std::uint64_t w, std::uint64_t num_words) {
+    usize hops = 0;
+    for (std::uint64_t i = w + 1; i <= num_words;) {
+      ++hops;
+      const std::uint64_t next = i + (i & (~i + 1));
+      if (next <= i) break;  // wrapped past 2^64: the chain ends here
+      i = next;
+    }
+    return hops;
+  };
+  for (usize n = 1; n <= 4096; ++n) {
+    for (usize w = 0; w < n; ++w) {
+      ASSERT_EQ(bits::fenwick_update_hops(w, n), chain(w, n))
+          << "w=" << w << " num_words=" << n;
+    }
+  }
+  xoshiro256 rng(4242);
+  for (int q = 0; q < 200000; ++q) {
+    // Mix full-width values with short ones so both long and empty bit
+    // ranges come up.
+    const unsigned width = static_cast<unsigned>(rng.between(1, 64));
+    const std::uint64_t mask = width == 64 ? ~std::uint64_t{0}
+                                           : (std::uint64_t{1} << width) - 1;
+    std::uint64_t a = rng() & mask;
+    std::uint64_t b = rng() & mask;
+    if (a > b) std::swap(a, b);
+    if (b == 0) continue;
+    const std::uint64_t w = a == b ? a - 1 : a;  // w < num_words = b
+    ASSERT_EQ(bits::fenwick_update_hops(w, b), chain(w, b))
+        << "w=" << w << " num_words=" << b;
   }
 }
 
