@@ -18,10 +18,18 @@
 //                            same aggregate bytes (the cross-format half
 //                            of the byte-identity invariant), with the
 //                            wall clocks side by side.
-//   records/real_grid        a real (small) sweep: shard -> .amoc ->
-//                            streaming merge must reproduce the one-shot
-//                            sweep's JSON byte-for-byte, and
-//                            decode(encode(x)) must reproduce x.
+//   records/real_grid        a real (small) sweep: shard -> .amoc (via
+//                            svc::job_result::render_output) -> streaming
+//                            merge must reproduce the one-shot sweep's
+//                            JSON byte-for-byte, and decode(encode(x))
+//                            must reproduce x.
+//   records/render_output    a real sharded grid (8,192 units, 8 shards)
+//                            encoded to .amoc two ways: render_output's
+//                            direct typed route and the reference route
+//                            it replaced (render_json -> parse_records ->
+//                            colfmt_encode). The bytes must be identical
+//                            and the direct route at least 5x faster per
+//                            unit, or the bench exits nonzero.
 //
 // BENCH_records.json uses the shared flat schema (docs/json_schema.md):
 // "scenario" is the identity axis, bit_identical gates as a safety flag
@@ -38,6 +46,7 @@
 #include "exp/record.hpp"
 #include "svc/server.hpp"
 #include "svc/worker_pool.hpp"
+#include "util/fileio.hpp"
 
 namespace {
 
@@ -291,12 +300,11 @@ bool run_real_grid(usize& units) {
     const svc::job_result r = svc::execute_job(job_of(i, 3), pool);
     if (!r.ok()) return false;
     units += r.runs().size();
-    const exp::parse_result parsed = exp::parse_records(r.render_json());
-    if (!parsed.ok()) return false;
     const std::string path = "bench_records_grid" + std::to_string(i) + ".amoc";
+    std::string bytes;
     std::string error;
-    if (!exp::write_records_file_as(path.c_str(), parsed.records,
-                                    exp::record_format::colfmt, error)) {
+    if (!r.render_output(exp::record_format::colfmt, bytes, error) ||
+        !write_file(path.c_str(), bytes, error)) {
       return false;
     }
     sources.push_back(exp::make_file_source(path));
@@ -317,6 +325,73 @@ bool run_real_grid(usize& units) {
   if (!exp::colfmt_encode(merged.records, bytes, error)) return false;
   const exp::parse_result rt = exp::colfmt_decode(bytes);
   return rt.ok() && exp::render_records(rt.records) == expected;
+}
+
+struct render_stats {
+  usize units = 0;
+  usize shards = 0;
+  double direct_us_per_unit = 0.0;     ///< render_output(colfmt)
+  double reference_us_per_unit = 0.0;  ///< render_json -> parse -> encode
+  bool identical = true;
+};
+
+/// The .amoc write path on a real sharded grid: both routes encode every
+/// shard; the best of `reps` alternating passes is each route's cost.
+render_stats run_render_output() {
+  constexpr usize kShards = 8;
+  constexpr usize kReps = 5;
+  svc::worker_pool pool(1);
+  std::vector<svc::job_result> shards;
+  render_stats st;
+  for (usize i = 0; i < kShards; ++i) {
+    svc::job j;
+    j.scenarios = {"kk/random+crash", "kk/stale_view",
+                   "iterative/random+crash", "wa/random+crash"};
+    j.params.n = 256;
+    j.params.m = 4;
+    j.params.seeds = 32;
+    j.params.replicas = 64;
+    j.no_timing = true;
+    j.have_shard = true;
+    j.shard = {i, kShards};
+    shards.push_back(svc::execute_job(j, pool));
+    if (!shards.back().ok()) {
+      std::fprintf(stderr, "bench_records: render grid: %s\n",
+                   shards.back().error.c_str());
+      st.identical = false;
+      return st;
+    }
+    st.units += shards.back().runs().size();
+  }
+  st.shards = kShards;
+
+  double direct_best = 0.0;
+  double reference_best = 0.0;
+  for (usize rep = 0; rep < kReps; ++rep) {
+    double direct_s = 0.0;
+    double reference_s = 0.0;
+    for (const svc::job_result& r : shards) {
+      std::string direct;
+      std::string reference;
+      std::string error;
+      stopwatch clock;
+      const bool direct_ok =
+          r.render_output(exp::record_format::colfmt, direct, error);
+      direct_s += clock.seconds();
+      clock.reset();
+      const exp::parse_result parsed = exp::parse_records(r.render_json());
+      const bool reference_ok =
+          parsed.ok() && exp::colfmt_encode(parsed.records, reference, error);
+      reference_s += clock.seconds();
+      st.identical = st.identical && direct_ok && reference_ok &&
+                     direct == reference;
+    }
+    if (rep == 0 || direct_s < direct_best) direct_best = direct_s;
+    if (rep == 0 || reference_s < reference_best) reference_best = reference_s;
+  }
+  st.direct_us_per_unit = 1e6 * direct_best / double(st.units);
+  st.reference_us_per_unit = 1e6 * reference_best / double(st.units);
+  return st;
 }
 
 }  // namespace
@@ -354,6 +429,13 @@ int main() {
   const bool real_ok = run_real_grid(real_units);
   all_identical = all_identical && real_ok;
 
+  // --- records/render_output ---------------------------------------------
+  const render_stats rs = run_render_output();
+  const bool render_fast =
+      rs.direct_us_per_unit > 0 &&
+      rs.reference_us_per_unit >= 5.0 * rs.direct_us_per_unit;
+  all_identical = all_identical && rs.identical;
+
   text_table t({"scenario", "units", "shards", "colfmt B/unit", "json B/unit",
                 "write rec/s", "merge rec/s", "identical?"});
   t.add_row({"records/stream_1m", fmt_count(big.units()),
@@ -368,7 +450,18 @@ int main() {
              benchx::yesno(parity)});
   t.add_row({"records/real_grid", fmt_count(real_units), "3", "-", "-", "-",
              "-", benchx::yesno(real_ok)});
+  t.add_row({"records/render_output", fmt_count(rs.units),
+             fmt_count(rs.shards), "-", "-",
+             fmt(rs.direct_us_per_unit, 2) + " us/unit",
+             fmt(rs.reference_us_per_unit, 2) + " us/unit (reference)",
+             benchx::yesno(rs.identical)});
   benchx::print_table(t);
+  std::printf("\nrender_output: direct %.2f us/unit vs reference %.2f us/unit "
+              "(%sx; gate >= 5x: %s)\n",
+              rs.direct_us_per_unit, rs.reference_us_per_unit,
+              benchx::ratio(rs.reference_us_per_unit, rs.direct_us_per_unit)
+                  .c_str(),
+              benchx::yesno(render_fast).c_str());
   std::printf("\ncolfmt merged aggregate file: %llu bytes for %zu cells "
               "(%.1f B/cell)\n",
               static_cast<unsigned long long>(st.merged_bytes), st.aggregates,
@@ -411,10 +504,20 @@ int main() {
             {"shards", benchx::json_report::num(std::uint64_t{3})},
             {"bit_identical", benchx::json_report::boolean(real_ok)}});
 
+  json.add({{"experiment", benchx::json_report::str("E_record_formats")},
+            {"scenario", benchx::json_report::str("records/render_output")},
+            {"units", benchx::json_report::num(std::uint64_t{rs.units})},
+            {"shards", benchx::json_report::num(std::uint64_t{rs.shards})},
+            {"direct_us_per_unit",
+             benchx::json_report::num(rs.direct_us_per_unit)},
+            {"reference_us_per_unit",
+             benchx::json_report::num(rs.reference_us_per_unit)},
+            {"bit_identical", benchx::json_report::boolean(rs.identical)}});
+
   if (json.write("BENCH_records.json")) {
     std::printf("[%zu records -> BENCH_records.json]\n", json.size());
   }
   std::printf("\n[bench_records done in %.1fs; bit-identical %s]\n",
               total.seconds(), benchx::yesno(all_identical).c_str());
-  return all_identical ? 0 : 1;
+  return all_identical && render_fast ? 0 : 1;
 }

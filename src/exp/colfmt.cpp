@@ -6,6 +6,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <span>
 
 #if !defined(_WIN32)
 #include <unistd.h>
@@ -46,11 +47,15 @@ void put_u16(std::string& out, std::uint16_t v) {
 }
 
 void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  char b[4];
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  out.append(b, sizeof b);
 }
 
 void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  char b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  out.append(b, sizeof b);
 }
 
 void put_f64(std::string& out, double v) {
@@ -123,27 +128,28 @@ struct cursor {
 
 // --- schema metadata ------------------------------------------------------
 
-/// Reads a non-negative integral number field, the read_index contract.
+/// read_index into a header or chunk field.
 bool meta_index(const record& rec, const char* key, std::uint64_t& out) {
-  const record_field* f = rec.find(key);
-  if (f == nullptr || f->type != record_field::kind::number) return false;
-  if (f->number < 0 || f->number != std::floor(f->number)) return false;
-  out = static_cast<std::uint64_t>(f->number);
+  usize v = 0;
+  if (!read_index(rec, key, v)) return false;
+  out = v;
   return true;
 }
 
 /// The grid fingerprint as the records spell it: 16 lowercase hex digits.
-std::uint64_t meta_grid(const record& rec) {
-  const record_field* f = rec.find("grid");
-  if (f == nullptr || f->type != record_field::kind::string ||
-      f->text.size() != 16) {
-    return 0;
-  }
+std::uint64_t parse_grid(std::string_view text) {
+  if (text.size() != 16) return 0;
   std::uint64_t v = 0;
   const auto [end, ec] =
-      std::from_chars(f->text.data(), f->text.data() + 16, v, 16);
-  if (ec != std::errc{} || end != f->text.data() + 16) return 0;
-  return v;
+      std::from_chars(text.data(), text.data() + text.size(), v, 16);
+  return ec == std::errc{} && end == text.data() + text.size() ? v : 0;
+}
+
+std::uint64_t meta_grid(const record& rec) {
+  const record_field* f = rec.find("grid");
+  return f != nullptr && f->type == record_field::kind::string
+             ? parse_grid(f->text)
+             : 0;
 }
 
 /// Fills the header's record-derived fields from the first record.
@@ -224,13 +230,13 @@ bool admits(const record_field& f, std::uint8_t t) {
   }
 }
 
-std::uint8_t classify_column(const std::vector<const record*>& rows, usize col) {
+std::uint8_t classify_column(std::span<const record> rows, usize col) {
   static constexpr std::uint8_t order[] = {kTagBool, kTagNull, kTagU64,
                                            kTagF64, kTagStr};
   for (const std::uint8_t t : order) {
     bool all = true;
-    for (const record* r : rows) {
-      if (!admits(r->fields[col], t)) {
+    for (const record& r : rows) {
+      if (!admits(r.fields[col], t)) {
         all = false;
         break;
       }
@@ -240,130 +246,190 @@ std::uint8_t classify_column(const std::vector<const record*>& rows, usize col) 
   return kTagVerbatim;
 }
 
-// --- chunk encode ---------------------------------------------------------
+// --- the block writer -----------------------------------------------------
 
-/// Encodes one chunk (magic..checksum) for rows that already passed the
-/// schema check. False when the chunk exceeds the row cap or a verbatim
-/// token would not re-parse.
-bool encode_chunk_bytes(const std::vector<const record*>& rows,
-                        const std::vector<std::string>& columns,
-                        std::uint64_t cell, std::string& out,
-                        std::string& error) {
-  if (rows.size() > max_chunk_rows(columns.size())) {
-    error = "a chunk of " + std::to_string(rows.size()) + " rows x " +
+/// One column of one chunk, typed: what the block writer encodes. `tag`
+/// names the vector holding the values.
+struct typed_column {
+  std::uint8_t tag = kTagNull;
+  std::vector<std::uint64_t> u64;
+  std::vector<double> f64;
+  std::vector<std::string_view> bytes;  ///< str: decoded text; verbatim: raw token
+  std::vector<std::uint8_t> truth;
+
+  void reset(std::uint8_t t) {  // keeps the vectors' capacity
+    tag = t;
+    u64.clear(), f64.clear(), bytes.clear(), truth.clear();
+  }
+};
+
+/// Applies the normative tag order to a double column: tag 0 when every
+/// value's canonical spelling (json_writer::num) is a canonical u64, else
+/// tag 1. A non-finite value has no JSON spelling, so it fails the encode.
+bool narrow_f64(typed_column& col, const std::string& key, std::string& error) {
+  bool integral = true;
+  for (const double v : col.f64) {
+    if (!std::isfinite(v)) {
+      error = "field '" + key + "' holds the non-finite value " +
+              json_writer::num(v) + ", which JSON cannot spell";
+      return false;
+    }
+    const auto u = v >= 0.0 && v < 0x1p64 ? static_cast<std::uint64_t>(v) : 0;
+    integral = integral && json_writer::num(v) == std::to_string(u);
+    col.u64.push_back(u);
+  }
+  col.tag = integral ? kTagU64 : kTagF64;
+  return true;
+}
+
+/// Appends one chunk (magic..checksum) of `rows` >= 1 rows to `out`. False
+/// (leaving `out` partly written) when the chunk exceeds the row cap or a
+/// double column does not narrow.
+bool encode_chunk(std::uint64_t cell, usize rows,
+                  std::vector<typed_column>& columns,
+                  const std::vector<std::string>& keys, std::string& out,
+                  std::string& error) {
+  if (rows > max_chunk_rows(columns.size())) {
+    error = "a chunk of " + std::to_string(rows) + " rows x " +
             std::to_string(columns.size()) + " columns exceeds the " +
             std::to_string(colfmt_max_chunk_values) +
             "-value chunk cap (docs/record_format.md)";
     return false;
   }
-  out.clear();
+  const usize start = out.size();
   out.append(kChunkMagic, sizeof kChunkMagic);
   put_u32(out, 0);  // chunk_bytes, patched below
   put_u64(out, cell);
-  put_u32(out, static_cast<std::uint32_t>(rows.size()));
+  put_u32(out, static_cast<std::uint32_t>(rows));
 
   for (usize c = 0; c < columns.size(); ++c) {
-    const std::uint8_t tag = classify_column(rows, c);
-    out.push_back(static_cast<char>(tag));
-    switch (tag) {
-      case kTagU64: {
-        std::uint64_t lo = ~std::uint64_t{0};
-        std::uint64_t hi = 0;
-        std::string values;
-        for (const record* r : rows) {
-          std::uint64_t v = 0;
-          std::from_chars(r->fields[c].raw.data(),
-                          r->fields[c].raw.data() + r->fields[c].raw.size(), v);
-          if (v < lo) lo = v;
-          if (v > hi) hi = v;
-          put_u64(values, v);
-        }
-        if (rows.empty()) lo = 0;
-        put_u64(out, lo);
-        put_u64(out, hi);
-        out += values;
+    typed_column& col = columns[c];
+    if (col.tag == kTagF64 && !narrow_f64(col, keys[c], error)) return false;
+    out.push_back(static_cast<char>(col.tag));
+    switch (col.tag) {
+      case kTagU64:  // advisory min, max (the first of equals), values
+        put_u64(out, *std::min_element(col.u64.begin(), col.u64.end()));
+        put_u64(out, *std::max_element(col.u64.begin(), col.u64.end()));
+        for (const std::uint64_t v : col.u64) put_u64(out, v);
         break;
-      }
-      case kTagF64: {
-        double lo = 0.0;
-        double hi = 0.0;
-        std::string values;
-        for (usize i = 0; i < rows.size(); ++i) {
-          const double v = rows[i]->fields[c].number;
-          if (i == 0 || v < lo) lo = v;
-          if (i == 0 || v > hi) hi = v;
-          put_f64(values, v);
-        }
-        put_f64(out, lo);
-        put_f64(out, hi);
-        out += values;
+      case kTagF64:
+        put_f64(out, *std::min_element(col.f64.begin(), col.f64.end()));
+        put_f64(out, *std::max_element(col.f64.begin(), col.f64.end()));
+        for (const double v : col.f64) put_f64(out, v);
         break;
-      }
       case kTagStr:
-        for (const record* r : rows) {
-          put_u32(out, static_cast<std::uint32_t>(r->fields[c].text.size()));
-          out += r->fields[c].text;
+      case kTagVerbatim:
+        for (const std::string_view b : col.bytes) {
+          put_u32(out, static_cast<std::uint32_t>(b.size()));
+          out += b;
         }
         break;
       case kTagBool:
-        for (usize i = 0; i < rows.size(); i += 8) {
+        for (usize i = 0; i < col.truth.size(); i += 8) {
           unsigned byte = 0;
-          for (usize b = 0; b < 8 && i + b < rows.size(); ++b) {
-            if (rows[i + b]->fields[c].truth) byte |= 1u << b;
+          for (usize b = 0; b < 8 && i + b < col.truth.size(); ++b) {
+            if (col.truth[i + b] != 0) byte |= 1u << b;
           }
           out.push_back(static_cast<char>(byte));
         }
         break;
-      case kTagNull: break;
-      default:  // verbatim: every token must survive a re-parse
-        for (const record* r : rows) {
-          record_field check;
-          std::string perr;
-          if (!parse_value_token(r->fields[c].raw, check, perr)) {
-            error = "field '" + columns[c] + "' holds token '" +
-                    r->fields[c].raw +
-                    "' that no encoding can round-trip: " + perr;
-            return false;
-          }
-          put_u32(out, static_cast<std::uint32_t>(r->fields[c].raw.size()));
-          out += r->fields[c].raw;
-        }
-        break;
+      default: break;  // null: no payload
     }
   }
 
   out.resize(out.size() + 8);  // checksum slot
-  const std::uint32_t total = static_cast<std::uint32_t>(out.size());
-  out[4] = static_cast<char>(total & 0xFF);
-  out[5] = static_cast<char>((total >> 8) & 0xFF);
-  out[6] = static_cast<char>((total >> 16) & 0xFF);
-  out[7] = static_cast<char>((total >> 24) & 0xFF);
+  const std::uint32_t total = static_cast<std::uint32_t>(out.size() - start);
+  for (usize b = 0; b < 4; ++b) {
+    out[start + 4 + b] = static_cast<char>((total >> (8 * b)) & 0xFF);
+  }
   patch_u64(out, out.size() - 8,
-            fnv1a64(std::string_view(out.data(), out.size() - 8)));
+            fnv1a64(std::string_view(out.data() + start, total - 8)));
   return true;
 }
 
-/// Splits records into chunk ranges: maximal runs of consecutive records
-/// sharing one integral "cell" value; records without one stand alone.
-std::vector<std::pair<usize, usize>> chunk_ranges(
-    const std::vector<record>& records, std::vector<std::uint64_t>& cells) {
-  std::vector<std::pair<usize, usize>> out;
-  cells.clear();
-  for (usize first = 0; first < records.size();) {
-    std::uint64_t cell = kNoCell;
-    usize last = first + 1;
-    if (meta_index(records[first], "cell", cell)) {
-      std::uint64_t next = 0;
-      while (last < records.size() &&
-             meta_index(records[last], "cell", next) && next == cell) {
-        ++last;
+/// The parsed-record front end of the block writer: classifies each
+/// column of one chunk with the admits rules and fills `columns`, whose
+/// views point into `rows`. False when a verbatim token would not re-parse.
+bool classify_records(std::span<const record> rows,
+                      const std::vector<std::string>& keys,
+                      std::vector<typed_column>& columns, std::string& error) {
+  columns.resize(keys.size());
+  for (usize c = 0; c < keys.size(); ++c) {
+    typed_column& col = columns[c];
+    col.reset(classify_column(rows, c));
+    for (const record& r : rows) {
+      const record_field& f = r.fields[c];
+      switch (col.tag) {
+        case kTagU64: {
+          std::uint64_t v = 0;
+          std::from_chars(f.raw.data(), f.raw.data() + f.raw.size(), v);
+          col.u64.push_back(v);
+          break;
+        }
+        case kTagF64: col.f64.push_back(f.number); break;
+        case kTagStr: col.bytes.push_back(f.text); break;
+        case kTagBool: col.truth.push_back(f.truth ? 1 : 0); break;
+        case kTagNull: break;
+        default: {  // verbatim: every token must survive a re-parse
+          record_field check;
+          std::string perr;
+          if (!parse_value_token(f.raw, check, perr)) {
+            error = "field '" + keys[c] + "' holds token '" + f.raw +
+                    "' that no encoding can round-trip: " + perr;
+            return false;
+          }
+          col.bytes.push_back(f.raw);
+        }
       }
     }
-    out.emplace_back(first, last);
-    cells.push_back(cell);
-    first = last;
+  }
+  return true;
+}
+
+/// One chunk's rows [first, last) and its cell number.
+struct chunk_run {
+  usize first = 0;
+  usize last = 0;
+  std::uint64_t cell = kNoCell;
+};
+
+/// Splits `rows` rows into chunk runs: maximal runs of consecutive rows
+/// sharing one cell number (`cell_of(r)`); rows without one (kNoCell)
+/// stand alone.
+template <class CellOf>
+std::vector<chunk_run> chunk_runs(usize rows, CellOf&& cell_of) {
+  std::vector<chunk_run> out;
+  for (usize r = 0; r < rows; ++r) {
+    const std::uint64_t cell = cell_of(r);
+    if (cell != kNoCell && !out.empty() && out.back().cell == cell) {
+      ++out.back().last;
+    } else {
+      out.push_back({r, r + 1, cell});
+    }
   }
   return out;
+}
+
+/// Header, chunks, end marker: `fill(run, columns, error)` types one
+/// chunk's columns, encode_chunk writes them.
+template <class Fill>
+bool encode_document(colfmt_header& h, const std::vector<chunk_run>& runs,
+                     Fill&& fill, std::string& out, std::string& error) {
+  h.chunk_count = runs.size();
+  out = build_header_bytes(h);
+  out.reserve(out.size() + runs.size() * (kChunkFixed + 8) +
+              h.record_count * h.columns.size() * 12 + sizeof kEndMarker);
+  std::vector<typed_column> columns(h.columns.size());
+  for (const chunk_run& run : runs) {
+    if (!fill(run, columns, error) ||
+        !encode_chunk(run.cell, run.last - run.first, columns, h.columns, out,
+                      error)) {
+      out.clear();
+      return false;
+    }
+  }
+  out.append(kEndMarker, sizeof kEndMarker);
+  return true;
 }
 
 // --- chunk decode ---------------------------------------------------------
@@ -629,28 +695,66 @@ bool colfmt_encode(const std::vector<record>& records, std::string& out,
     if (!schema_matches(records[i], h.columns, i, error)) return false;
   }
   h.record_count = records.size();
+  const auto fill = [&](const chunk_run& run,
+                        std::vector<typed_column>& columns,
+                        std::string& err) {
+    const std::span<const record> rows(records.data() + run.first,
+                                       run.last - run.first);
+    return classify_records(rows, h.columns, columns, err);
+  };
+  const auto runs = chunk_runs(records.size(), [&](usize r) {
+    std::uint64_t cell = kNoCell;
+    meta_index(records[r], "cell", cell);
+    return cell;
+  });
+  return encode_document(h, runs, fill, out, error);
+}
 
-  std::vector<std::uint64_t> cells;
-  const std::vector<std::pair<usize, usize>> ranges =
-      chunk_ranges(records, cells);
-  h.chunk_count = ranges.size();
-
-  out = build_header_bytes(h);
-  std::string chunk;
-  std::vector<const record*> rows;
-  for (usize i = 0; i < ranges.size(); ++i) {
-    rows.clear();
-    for (usize r = ranges[i].first; r < ranges[i].second; ++r) {
-      rows.push_back(&records[r]);
+bool colfmt_encode(const record_table& table, std::string& out,
+                   std::string& error) {
+  colfmt_header h;
+  const record_column* cell = nullptr;
+  if (!table.rows.empty()) {
+    // Header meta from the first row, by the keys header_meta_from reads.
+    for (const record_column& col : table.columns) {
+      h.columns.emplace_back(col.key);
+      const field_value v = col.get(table, table.rows.front(), col.arg);
+      if (col.key == "grid") h.grid_fp = parse_grid(v.str);  // "" unless str
+      if (col.type != field_type::u64) continue;
+      if (col.key == "cells_total") h.cells_total = v.u64;
+      if (col.key == "units_total") h.units_total = v.u64;
+      if (col.key == "replicas") h.replicas = v.u64;
+      if (col.key == "cell") cell = &col;
     }
-    if (!encode_chunk_bytes(rows, h.columns, cells[i], chunk, error)) {
-      out.clear();
-      return false;
-    }
-    out += chunk;
   }
-  out.append(kEndMarker, sizeof kEndMarker);
-  return true;
+  h.record_count = table.rows.size();
+
+  const auto runs = chunk_runs(table.rows.size(), [&](usize r) {
+    return cell != nullptr ? cell->get(table, table.rows[r], cell->arg).u64
+                           : kNoCell;
+  });
+
+  static constexpr std::uint8_t kTagOf[] = {kTagU64, kTagF64, kTagStr,
+                                            kTagBool};
+  const auto fill = [&](const chunk_run& run,
+                        std::vector<typed_column>& columns, std::string&) {
+    for (usize c = 0; c < table.columns.size(); ++c) {
+      const record_column& col = table.columns[c];
+      typed_column& tc = columns[c];
+      tc.reset(kTagOf[static_cast<usize>(col.type)]);
+      for (usize r = run.first; r < run.last; ++r) {
+        const field_value v = col.get(table, table.rows[r], col.arg);
+        switch (col.type) {
+          case field_type::u64: tc.u64.push_back(v.u64); break;
+          case field_type::f64: tc.f64.push_back(v.f64); break;
+          case field_type::str: tc.bytes.push_back(v.str); break;
+          case field_type::boolean: tc.truth.push_back(v.boolean); break;
+        }
+      }
+    }
+    return true;
+  };
+  return encode_document(h, runs, fill, out, error);
 }
 
 parse_result colfmt_decode(std::string_view bytes) {
@@ -785,6 +889,14 @@ bool colfmt_reader::open(const char* path, std::string& error) {
     error = std::string("cannot open ") + path + ": " + std::strerror(errno);
     return false;
   }
+  // The file size bounds every chunk length read later.
+  const long size =
+      std::fseek(file_, 0, SEEK_END) == 0 ? std::ftell(file_) : -1;
+  if (size < 0 || std::fseek(file_, 0, SEEK_SET) != 0) {
+    error = std::string("cannot seek ") + path + ": " + std::strerror(errno);
+    return false;
+  }
+  size_ = static_cast<std::uint64_t>(size);
   // Accumulate the variable-length header into a buffer, then reuse the
   // buffer-level parser (one definition of the validation rules). The
   // magic is judged on its own first: a short foreign file deserves "not
@@ -877,6 +989,16 @@ bool colfmt_reader::next_chunk(std::vector<record>& out, bool& end,
             std::to_string(kChunkFixed + 8) + "-byte minimum";
     return false;
   }
+  // The length is untrusted: judge it against the file before sizing the
+  // chunk buffer by it.
+  const std::uint64_t left = offset_ < size_ ? size_ - offset_ : 0;
+  if (chunk_bytes > left) {
+    error = path_ + ": offset " + std::to_string(offset_ + 4) +
+            ": chunk length " + std::to_string(chunk_bytes) + " exceeds the " +
+            std::to_string(left) +
+            " bytes left in the file (truncated .amoc file?)";
+    return false;
+  }
   if (!read_exact(file_, chunk_bytes - sizeof kEndMarker, buf,
                   offset_ + sizeof kEndMarker, "a chunk", error)) {
     error = path_ + ": " + error;
@@ -950,11 +1072,12 @@ bool colfmt_writer::add_chunk(const std::vector<record>& rows,
   }
   std::uint64_t cell = kNoCell;
   meta_index(rows[0], "cell", cell);
-  std::vector<const record*> ptrs;
-  ptrs.reserve(rows.size());
-  for (const record& r : rows) ptrs.push_back(&r);
+  std::vector<typed_column> columns;
   std::string chunk;
-  if (!encode_chunk_bytes(ptrs, columns_, cell, chunk, error)) return false;
+  if (!classify_records(rows, columns_, columns, error) ||
+      !encode_chunk(cell, rows.size(), columns, columns_, chunk, error)) {
+    return false;
+  }
   if (std::fwrite(chunk.data(), 1, chunk.size(), file_) != chunk.size()) {
     error = "cannot write " + tmp_ + ": " + std::strerror(errno);
     return false;

@@ -18,7 +18,8 @@
 // decode provably reproduces the raw tokens (u64 / f64 / str / bool /
 // null), and falls back to verbatim raw-token storage for anything else
 // (foreign escapes, exotic number spellings), so no input is ever
-// approximated.
+// approximated. One block writer serves parsed records (classified by
+// their raw tokens) and typed record tables (classified by their values).
 //
 // Readers validate everything — magic, version, flags, header checksum,
 // per-chunk checksums, every length against the bytes actually present,
@@ -37,6 +38,8 @@
 #include "util/types.hpp"
 
 namespace amo::exp {
+
+struct record_table;
 
 /// The two on-disk spellings of a record array.
 enum class record_format : std::uint8_t { json, colfmt };
@@ -78,6 +81,12 @@ struct colfmt_header {
 [[nodiscard]] bool colfmt_encode(const std::vector<record>& records,
                                  std::string& out, std::string& error);
 
+/// Encodes a typed record table (exp/report.hpp) without rendering text:
+/// the same bytes as colfmt_encode(parse_records(<its JSON>)). False with
+/// `error` on a non-finite double (JSON cannot spell it) or the row cap.
+[[nodiscard]] bool colfmt_encode(const record_table& table, std::string& out,
+                                 std::string& error);
+
 /// Decodes and fully validates a .amoc buffer. Errors carry the byte
 /// offset of the violation.
 [[nodiscard]] parse_result colfmt_decode(std::string_view bytes);
@@ -97,7 +106,7 @@ struct colfmt_header {
                                      record_format format, std::string& out,
                                      std::string& error);
 
-/// write_records_file, format-aware; both formats go through
+/// render_records_as into `path`; both formats go through
 /// util::write_file_atomic (tmp + fsync + rename).
 [[nodiscard]] bool write_records_file_as(const char* path,
                                          const std::vector<record>& records,
@@ -131,6 +140,7 @@ class colfmt_reader {
   std::FILE* file_ = nullptr;
   std::string path_;
   colfmt_header header_;
+  std::uint64_t size_ = 0;         ///< file size at open()
   std::uint64_t offset_ = 0;       ///< file offset of the next read
   std::uint64_t chunks_seen_ = 0;
   std::uint64_t records_seen_ = 0;

@@ -1,7 +1,6 @@
 #include "exp/merge.hpp"
 
 #include <charconv>
-#include <cmath>
 #include <cstring>
 
 #include "exp/colfmt.hpp"
@@ -13,16 +12,6 @@
 namespace amo::exp {
 
 namespace {
-
-/// Reads field `key` as a non-negative integer; false when absent,
-/// non-numeric or fractional.
-bool read_index(const record& rec, const char* key, usize& out) {
-  const record_field* f = rec.find(key);
-  if (f == nullptr || f->type != record_field::kind::number) return false;
-  if (f->number < 0 || f->number != std::floor(f->number)) return false;
-  out = static_cast<usize>(f->number);
-  return true;
-}
 
 std::string shard_tag(usize si) { return "shard " + std::to_string(si); }
 

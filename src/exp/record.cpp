@@ -4,6 +4,7 @@
 #include <stdlib.h>
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -281,6 +282,17 @@ const record_field* record::find(std::string_view key) const {
   return nullptr;
 }
 
+bool read_index(const record& rec, std::string_view key, usize& out) {
+  const record_field* f = rec.find(key);
+  if (f == nullptr || f->type != record_field::kind::number) return false;
+  if (!(f->number >= 0) || f->number != std::floor(f->number) ||
+      f->number >= 18446744073709551616.0) {
+    return false;
+  }
+  out = static_cast<usize>(f->number);
+  return true;
+}
+
 bool parse_value_token(std::string_view token, record_field& f,
                        std::string& error) {
   scanner sc;
@@ -362,16 +374,6 @@ std::string render_records(const std::vector<record>& records) {
     json.add(fields);
   }
   return json.dump();
-}
-
-bool write_records_file(const char* path, const std::vector<record>& records,
-                        std::string& error) {
-  return write_file_atomic(path, render_records(records), error);
-}
-
-bool write_records_file(const char* path, const std::vector<record>& records) {
-  std::string ignored;
-  return write_records_file(path, records, ignored);
 }
 
 }  // namespace amo::exp

@@ -38,6 +38,12 @@ struct record {
   [[nodiscard]] const record_field* find(std::string_view key) const;
 };
 
+/// Reads field `key` as an index or count: a number that is non-negative,
+/// integral and below 2^64. False when the field is absent, not a number,
+/// negative, fractional, NaN or too large, so an untrusted count can never
+/// reach a cast or an allocation unchecked. `out` is untouched on false.
+bool read_index(const record& rec, std::string_view key, usize& out);
+
 struct parse_result {
   std::vector<record> records;
   std::string error;  ///< empty on success, else "line N: why"
@@ -63,15 +69,5 @@ parse_result parse_records_file(const char* path);
 /// Renders records exactly as json_writer would have ("[\n  {...},\n ...]\n"),
 /// re-emitting each value's raw source token verbatim.
 std::string render_records(const std::vector<record>& records);
-
-/// Writes render_records() to `path` atomically (util::write_file_atomic:
-/// tmp + fsync + rename, so a killed writer can never leave a torn record
-/// file); false on I/O failure with `error` carrying the path and errno
-/// text.
-bool write_records_file(const char* path, const std::vector<record>& records,
-                        std::string& error);
-
-/// As above, for callers with nowhere to put the diagnostic.
-bool write_records_file(const char* path, const std::vector<record>& records);
 
 }  // namespace amo::exp

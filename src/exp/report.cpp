@@ -2,22 +2,19 @@
 
 #include <charconv>
 #include <cstdio>
+#include <cstring>
+#include <type_traits>
 
+#include "exp/stats.hpp"
 #include "util/fileio.hpp"
 
 namespace amo::exp {
 
-std::string json_writer::num(double v) {
-  // std::to_chars: shortest representation that parses back to exactly v,
-  // locale-independent by definition (snprintf %g obeys LC_NUMERIC and
-  // would emit "0,5" under a comma-decimal locale — an unparseable record).
-  char buf[64];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  return ec == std::errc{} ? std::string(buf, end) : std::string("0");
-}
+namespace {
 
-std::string json_writer::str(const std::string& s) {
-  std::string out = "\"";
+/// Appends `s` quoted and escaped: the json_writer::str spelling.
+void append_str(std::string& out, std::string_view s) {
+  out += '"';
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -37,6 +34,36 @@ std::string json_writer::str(const std::string& s) {
     }
   }
   out += '"';
+}
+
+void append_value(std::string& out, field_type t, const field_value& v) {
+  switch (t) {
+    case field_type::u64: {
+      char buf[24];
+      const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v.u64);
+      out.append(buf, end);
+      break;
+    }
+    case field_type::f64: out += json_writer::num(v.f64); break;
+    case field_type::str: append_str(out, v.str); break;
+    case field_type::boolean: out += v.boolean ? "true" : "false"; break;
+  }
+}
+
+}  // namespace
+
+std::string json_writer::num(double v) {
+  // std::to_chars: shortest representation that parses back to exactly v,
+  // locale-independent by definition (snprintf %g obeys LC_NUMERIC and
+  // would emit "0,5" under a comma-decimal locale — an unparseable record).
+  char buf[64];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  return ec == std::errc{} ? std::string(buf, end) : std::string("0");
+}
+
+std::string json_writer::str(const std::string& s) {
+  std::string out;
+  append_str(out, s);
   return out;
 }
 
@@ -76,153 +103,259 @@ bool json_writer::write(const char* path) const {
   return write_file_atomic(path, dump(), ignored);
 }
 
-std::vector<std::pair<std::string, std::string>> report_fields(
-    const run_report& r, bool include_timing) {
-  using W = json_writer;
-  std::vector<std::pair<std::string, std::string>> f;
-  f.reserve(32);
-  f.emplace_back("scenario", W::str(r.label));
-  f.emplace_back("algo", W::str(to_string(r.algo)));
-  f.emplace_back("driver", W::str(to_string(r.driver)));
-  f.emplace_back("memory", W::str(to_string(r.memory)));
-  f.emplace_back("free_set", W::str(to_string(r.free_set)));
-  f.emplace_back("adversary", W::str(r.adversary));
-  f.emplace_back("seed", W::num(std::uint64_t{r.seed}));
-  f.emplace_back("n", W::num(std::uint64_t{r.n}));
-  f.emplace_back("m", W::num(std::uint64_t{r.m}));
-  f.emplace_back("beta", W::num(std::uint64_t{r.beta}));
-  f.emplace_back("eps_inv", W::num(std::uint64_t{r.eps_inv}));
-  f.emplace_back("crash_budget", W::num(std::uint64_t{r.crash_budget}));
-  f.emplace_back("steps", W::num(std::uint64_t{r.total_steps}));
-  f.emplace_back("crashes", W::num(std::uint64_t{r.crashes}));
-  f.emplace_back("quiescent", W::boolean(r.quiescent));
-  f.emplace_back("terminated", W::num(std::uint64_t{r.terminated}));
-  f.emplace_back("effectiveness", W::num(std::uint64_t{r.effectiveness}));
-  f.emplace_back("perform_events", W::num(std::uint64_t{r.perform_events}));
-  f.emplace_back("at_most_once", W::boolean(r.at_most_once));
-  f.emplace_back("duplicate", W::num(std::uint64_t{r.duplicate}));
-  f.emplace_back("shared_reads", W::num(r.total_work.shared_reads));
-  f.emplace_back("shared_writes", W::num(r.total_work.shared_writes));
-  f.emplace_back("local_ops", W::num(r.total_work.local_ops));
-  f.emplace_back("actions", W::num(r.total_work.actions));
-  f.emplace_back("work", W::num(r.total_work.total()));
-  f.emplace_back("collisions", W::num(std::uint64_t{r.total_collisions}));
-  f.emplace_back("worst_pair_ratio", W::num(r.worst_pair_ratio));
-  f.emplace_back("num_levels", W::num(std::uint64_t{r.num_levels}));
-  f.emplace_back("wa_complete", W::boolean(r.wa_complete));
-  f.emplace_back("wa_written", W::num(std::uint64_t{r.wa_written}));
-  f.emplace_back("trace_events", W::num(std::uint64_t{r.trace.size()}));
-  if (include_timing) f.emplace_back("wall_seconds", W::num(r.wall_seconds));
-  return f;
-}
-
-void add_reports(json_writer& out, const std::vector<run_report>& reports,
-                 bool include_timing) {
-  for (const run_report& r : reports) {
-    out.add(report_fields(r, include_timing));
+void json_writer::add(const record_table& table) {
+  for (const record_row& row : table.rows) {
+    std::string line = "  {";
+    for (usize c = 0; c < table.columns.size(); ++c) {
+      const record_column& col = table.columns[c];
+      if (c != 0) line += ", ";
+      append_str(line, col.key);
+      line += ": ";
+      append_value(line, col.type, col.get(table, row, col.arg));
+    }
+    line += '}';
+    rows_.push_back(std::move(line));
   }
 }
 
 namespace {
 
-std::string grid_hex(std::uint64_t grid) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(grid));
-  return buf;
+/// The field_value of one typed value.
+template <class T>
+field_value value_of(const T& v) {
+  field_value f;
+  if constexpr (std::is_same_v<T, bool>) {
+    f.boolean = v;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    f.f64 = v;
+  } else if constexpr (std::is_integral_v<T>) {
+    f.u64 = v;
+  } else {
+    f.str = v;
+  }
+  return f;
 }
 
-void append_moved(std::vector<std::pair<std::string, std::string>>& dst,
-                  std::vector<std::pair<std::string, std::string>>&& src) {
-  dst.insert(dst.end(), std::make_move_iterator(src.begin()),
-             std::make_move_iterator(src.end()));
+using D = const record_table&;
+using R = const record_row&;
+constexpr field_type kU64 = field_type::u64;
+constexpr field_type kF64 = field_type::f64;
+constexpr field_type kStr = field_type::str;
+constexpr field_type kBool = field_type::boolean;
+
+/// Reads run_report::*Member.
+template <auto Member>
+field_value member(D, R r, usize) {
+  return value_of(r.report->*Member);
+}
+
+/// Reads the replica fold's cell_stats::*Fold on aggregate rows, else the
+/// report's own run_report::*Member.
+template <auto Member, auto Fold>
+field_value folded(D, R r, usize) {
+  return value_of(r.stats != nullptr ? r.stats->*Fold : r.report->*Member);
+}
+
+// Grid-position columns; the record layouts below compose them.
+constexpr record_column kUnit{
+    "unit", kU64, [](D, R r, usize) { return value_of(r.unit.unit); }};
+constexpr record_column kUnitsTotal{
+    "units_total", kU64, [](D d, R, usize) { return value_of(d.units_total); }};
+constexpr record_column kCell{
+    "cell", kU64, [](D, R r, usize) { return value_of(r.unit.cell); }};
+constexpr record_column kCellsTotal{
+    "cells_total", kU64, [](D d, R, usize) { return value_of(d.cells_total); }};
+constexpr record_column kReplica{
+    "replica", kU64, [](D, R r, usize) { return value_of(r.unit.replica); }};
+constexpr record_column kReplicas{"replicas", kU64, [](D, R r, usize) {
+  return value_of(r.unit.cell_replicas);
+}};
+constexpr record_column kGrid{"grid", kStr, [](D d, R, usize) {
+  return value_of(std::string_view(d.grid_hex, sizeof d.grid_hex));
+}};
+
+/// The run_report columns, schema order. Aggregate rows take the safety
+/// flags (and, in kWallSeconds, the wall clock) from the replica fold.
+constexpr record_column kReportColumns[] = {
+    {"scenario", kStr, member<&run_report::label>},
+    {"algo", kStr,
+     [](D, R r, usize) { return value_of(to_string(r.report->algo)); }},
+    {"driver", kStr,
+     [](D, R r, usize) { return value_of(to_string(r.report->driver)); }},
+    {"memory", kStr,
+     [](D, R r, usize) { return value_of(to_string(r.report->memory)); }},
+    {"free_set", kStr,
+     [](D, R r, usize) { return value_of(to_string(r.report->free_set)); }},
+    {"adversary", kStr, member<&run_report::adversary>},
+    {"seed", kU64, member<&run_report::seed>},
+    {"n", kU64, member<&run_report::n>},
+    {"m", kU64, member<&run_report::m>},
+    {"beta", kU64, member<&run_report::beta>},
+    {"eps_inv", kU64, member<&run_report::eps_inv>},
+    {"crash_budget", kU64, member<&run_report::crash_budget>},
+    {"steps", kU64, member<&run_report::total_steps>},
+    {"crashes", kU64, member<&run_report::crashes>},
+    {"quiescent", kBool, folded<&run_report::quiescent, &cell_stats::quiescent>},
+    {"terminated", kU64, member<&run_report::terminated>},
+    {"effectiveness", kU64, member<&run_report::effectiveness>},
+    {"perform_events", kU64, member<&run_report::perform_events>},
+    {"at_most_once", kBool,
+     folded<&run_report::at_most_once, &cell_stats::at_most_once>},
+    {"duplicate", kU64, folded<&run_report::duplicate, &cell_stats::duplicate>},
+    {"shared_reads", kU64,
+     [](D, R r, usize) { return value_of(r.report->total_work.shared_reads); }},
+    {"shared_writes", kU64,
+     [](D, R r, usize) { return value_of(r.report->total_work.shared_writes); }},
+    {"local_ops", kU64,
+     [](D, R r, usize) { return value_of(r.report->total_work.local_ops); }},
+    {"actions", kU64,
+     [](D, R r, usize) { return value_of(r.report->total_work.actions); }},
+    {"work", kU64,
+     [](D, R r, usize) { return value_of(r.report->total_work.total()); }},
+    {"collisions", kU64, member<&run_report::total_collisions>},
+    {"worst_pair_ratio", kF64, member<&run_report::worst_pair_ratio>},
+    {"num_levels", kU64, member<&run_report::num_levels>},
+    {"wa_complete", kBool,
+     folded<&run_report::wa_complete, &cell_stats::wa_complete>},
+    {"wa_written", kU64, member<&run_report::wa_written>},
+    {"trace_events", kU64,
+     [](D, R r, usize) { return value_of(r.report->trace.size()); }},
+};
+
+/// Timing runs only: the report's wall clock, or the cell's summed one.
+constexpr record_column kWallSeconds{
+    "wall_seconds", kF64,
+    folded<&run_report::wall_seconds, &cell_stats::wall_seconds>};
+
+/// The <metric>_<stat> aggregate columns, summary_metrics() x
+/// summary_stats(); `arg` indexes the pair.
+const std::vector<record_column>& summary_columns() {
+  struct schema {
+    std::vector<std::string> keys;
+    std::vector<record_column> columns;
+  };
+  static const schema s = [] {
+    schema out;
+    for (auto& [key, value] : summary_values({})) out.keys.push_back(key);
+    for (usize i = 0; i < out.keys.size(); ++i) {
+      out.columns.push_back({out.keys[i], kF64, [](D, R r, usize arg) {
+        const usize per = summary_stats().size();
+        const metric_summary& ms = r.stats->*summary_metrics()[arg / per].summary;
+        return value_of(ms.*summary_stats()[arg % per].value);
+      }, i});
+    }
+    return out;
+  }();
+  return s.columns;
+}
+
+/// A record layout: `prefix`, the report columns, the summaries
+/// (aggregate records), wall_seconds (timing runs), then `extra`.
+record_table layout(std::initializer_list<record_column> prefix,
+                    bool summaries, bool include_timing, extra_fields extra,
+                    std::uint64_t grid = 0) {
+  record_table t;
+  char hex[20];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(grid));
+  std::memcpy(t.grid_hex, hex, sizeof t.grid_hex);
+  t.extra = std::move(extra);
+  t.columns.assign(prefix);
+  t.columns.insert(t.columns.end(), std::begin(kReportColumns),
+                   std::end(kReportColumns));
+  if (summaries) {
+    t.columns.insert(t.columns.end(), summary_columns().begin(),
+                     summary_columns().end());
+  }
+  if (include_timing) t.columns.push_back(kWallSeconds);
+  for (usize i = 0; i < t.extra.size(); ++i) {
+    t.columns.push_back({t.extra[i].first, kF64, [](D d, R, usize arg) {
+      return value_of(d.extra[arg].second);
+    }, i});
+  }
+  return t;
 }
 
 }  // namespace
+
+record_table cell_table(const sweep_result& swept, std::uint64_t grid,
+                        bool include_timing, extra_fields extra) {
+  record_table t = layout({kCell, kCellsTotal, kGrid, kReplicas},
+                          /*summaries=*/true, include_timing, std::move(extra),
+                          grid);
+  t.cells_total = swept.cells.size();
+  t.rows.reserve(swept.cells.size());
+  for (usize i = 0; i < swept.cells.size(); ++i) {
+    const cell_report& cr = swept.cells[i];
+    t.rows.push_back({&swept.reports[cr.first], &cr.stats,
+                      unit_ref{0, i, 0, cr.replicas}});
+  }
+  return t;
+}
+
+record_table unit_table(const std::vector<run_report>& reports,
+                        const std::vector<unit_ref>& units, usize units_total,
+                        usize cells_total, std::uint64_t grid,
+                        bool include_timing, extra_fields extra) {
+  record_table t = layout({kUnit, kUnitsTotal, kCell, kCellsTotal, kReplica,
+                           kReplicas, kGrid},
+                          /*summaries=*/false, include_timing, std::move(extra),
+                          grid);
+  t.units_total = units_total;
+  t.cells_total = cells_total;
+  t.rows.reserve(reports.size());
+  for (usize i = 0; i < reports.size(); ++i) {
+    t.rows.push_back({&reports[i], nullptr, units[i]});
+  }
+  return t;
+}
+
+std::vector<std::pair<std::string, std::string>> report_fields(
+    const run_report& r, bool include_timing) {
+  const record_table t = layout({}, false, include_timing, {});
+  const record_row row{&r, nullptr, {}};
+  std::vector<std::pair<std::string, std::string>> f;
+  f.reserve(t.columns.size());
+  for (const record_column& col : t.columns) {
+    std::string value;
+    append_value(value, col.type, col.get(t, row, col.arg));
+    f.emplace_back(std::string(col.key), std::move(value));
+  }
+  return f;
+}
+
+void add_reports(json_writer& out, const std::vector<run_report>& reports,
+                 bool include_timing) {
+  record_table t = layout({}, false, include_timing, {});
+  for (const run_report& r : reports) t.rows.push_back({&r, nullptr, {}});
+  out.add(t);
+}
 
 void add_sweep_records(json_writer& out, const std::vector<run_report>& reports,
                        const std::vector<usize>& cell_indices,
                        usize cells_total, std::uint64_t grid,
                        bool include_timing) {
-  const std::string fp = grid_hex(grid);
+  record_table t =
+      layout({kCell, kCellsTotal, kGrid}, false, include_timing, {}, grid);
+  t.cells_total = cells_total;
   for (usize i = 0; i < reports.size(); ++i) {
-    std::vector<std::pair<std::string, std::string>> fields;
-    fields.reserve(35);
-    fields.emplace_back("cell",
-                        json_writer::num(std::uint64_t{cell_indices[i]}));
-    fields.emplace_back("cells_total",
-                        json_writer::num(std::uint64_t{cells_total}));
-    fields.emplace_back("grid", json_writer::str(fp));
-    append_moved(fields, report_fields(reports[i], include_timing));
-    out.add(fields);
+    t.rows.push_back({&reports[i], nullptr, unit_ref{0, cell_indices[i], 0, 1}});
   }
+  out.add(t);
 }
 
 void add_cell_records(json_writer& out, const sweep_result& swept,
                       std::uint64_t grid, bool include_timing,
                       const extra_fields& extra) {
-  using W = json_writer;
-  const std::string fp = grid_hex(grid);
-  for (usize i = 0; i < swept.cells.size(); ++i) {
-    const cell_report& cr = swept.cells[i];
-    const cell_stats& st = cr.stats;
-    const run_report& base = swept.reports[cr.first];
-
-    std::vector<std::pair<std::string, std::string>> fields;
-    fields.reserve(64);
-    fields.emplace_back("cell", W::num(std::uint64_t{i}));
-    fields.emplace_back("cells_total",
-                        W::num(std::uint64_t{swept.cells.size()}));
-    fields.emplace_back("grid", W::str(fp));
-    fields.emplace_back("replicas", W::num(std::uint64_t{cr.replicas}));
-
-    // The base replica's record, with the safety fields replaced by their
-    // any-replica fold: one violating replica marks the whole cell. The
-    // per-draw metrics (effectiveness, work, ...) stay the base-seed
-    // draw's, so replicas = 1 preserves the pre-replica record values.
-    auto base_fields = report_fields(base, /*include_timing=*/false);
-    for (auto& [key, value] : base_fields) {
-      if (key == "at_most_once") {
-        value = W::boolean(st.at_most_once);
-      } else if (key == "quiescent") {
-        value = W::boolean(st.quiescent);
-      } else if (key == "wa_complete") {
-        value = W::boolean(st.wa_complete);
-      } else if (key == "duplicate") {
-        value = W::num(std::uint64_t{st.duplicate});
-      }
-    }
-    append_moved(fields, std::move(base_fields));
-    append_moved(fields, summary_fields(st));
-    if (include_timing) {
-      fields.emplace_back("wall_seconds", W::num(st.wall_seconds));
-    }
-    fields.insert(fields.end(), extra.begin(), extra.end());
-    out.add(fields);
-  }
+  out.add(cell_table(swept, grid, include_timing, extra));
 }
 
 void add_unit_records(json_writer& out, const std::vector<run_report>& reports,
                       const std::vector<unit_ref>& units, usize units_total,
                       usize cells_total, std::uint64_t grid,
                       bool include_timing, const extra_fields& extra) {
-  using W = json_writer;
-  const std::string fp = grid_hex(grid);
-  for (usize i = 0; i < reports.size(); ++i) {
-    const unit_ref& u = units[i];
-    std::vector<std::pair<std::string, std::string>> fields;
-    fields.reserve(40);
-    fields.emplace_back("unit", W::num(std::uint64_t{u.unit}));
-    fields.emplace_back("units_total", W::num(std::uint64_t{units_total}));
-    fields.emplace_back("cell", W::num(std::uint64_t{u.cell}));
-    fields.emplace_back("cells_total", W::num(std::uint64_t{cells_total}));
-    fields.emplace_back("replica", W::num(std::uint64_t{u.replica}));
-    fields.emplace_back("replicas", W::num(std::uint64_t{u.cell_replicas}));
-    fields.emplace_back("grid", W::str(fp));
-    append_moved(fields, report_fields(reports[i], include_timing));
-    fields.insert(fields.end(), extra.begin(), extra.end());
-    out.add(fields);
-  }
+  out.add(unit_table(reports, units, units_total, cells_total, grid,
+                     include_timing, extra));
 }
 
 }  // namespace amo::exp

@@ -5,14 +5,15 @@
 // and every control character below 0x20 (\n, \t, \r named; the rest as
 // \u00XX) — so a label can never produce an unparseable file.
 //
-// add_report() maps a run_report onto the unified record schema (documented
-// in README.md and emitted by amo_lab); `include_timing = false` drops the
-// wall-clock field, which is what makes sweep output byte-comparable across
-// pool sizes.
+// The record schema below maps run_reports onto the unified record shapes
+// (documented in docs/json_schema.md and emitted by amo_lab);
+// `include_timing = false` drops the wall-clock fields, which is what makes
+// sweep output byte-comparable across pool sizes.
 #pragma once
 
 #include <initializer_list>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,8 @@
 #include "exp/sweep.hpp"
 
 namespace amo::exp {
+
+struct record_table;
 
 /// Accumulates flat {string: value} records and renders them as a JSON
 /// array. Values are passed pre-encoded via num()/str()/boolean().
@@ -39,6 +42,9 @@ class json_writer {
   void add(std::initializer_list<std::pair<std::string, std::string>> fields);
   void add(const std::vector<std::pair<std::string, std::string>>& fields);
 
+  /// Appends every row of `table` (declared below).
+  void add(const record_table& table);
+
   /// The full `[ {...}, ... ]` document, newline-terminated.
   [[nodiscard]] std::string dump() const;
 
@@ -53,50 +59,99 @@ class json_writer {
   std::vector<std::string> rows_;
 };
 
-/// The unified record for one run_report, in schema order. Every amo_lab /
-/// bench record uses exactly these fields (prefixed by any caller-supplied
-/// extras), so downstream tooling parses one shape.
+/// Extra caller-supplied numeric fields appended at the end of each
+/// record (e.g. the serve layer's per-job timing fields).
+using extra_fields = std::vector<std::pair<std::string, double>>;
+
+// --- the record schema ----------------------------------------------------
+// One ordered table of typed columns (key, type, value accessor) defines
+// every record shape below; json_writer::add and the .amoc writer
+// (exp::colfmt_encode) both read it, so the two spellings cannot drift.
+
+/// The JSON value type a column holds.
+enum class field_type : std::uint8_t { u64, f64, str, boolean };
+
+/// One typed value; the column's field_type says which member is set.
+struct field_value {
+  std::uint64_t u64 = 0;
+  double f64 = 0.0;
+  std::string_view str;
+  bool boolean = false;
+};
+
+/// What one record renders from: a unit's report, or a cell's base-replica
+/// report plus the replica fold that replaces its safety flags and clock.
+struct record_row {
+  const run_report* report = nullptr;
+  const cell_stats* stats = nullptr;  ///< aggregate records only
+  unit_ref unit;  ///< aggregate records: .cell and .cell_replicas
+};
+
+/// One column: its key, its JSON type and how a row yields its value.
+struct record_column {
+  std::string_view key;
+  field_type type = field_type::u64;
+  field_value (*get)(const record_table&, const record_row&, usize arg) = nullptr;
+  usize arg = 0;  ///< summary / extra columns: which one
+};
+
+/// One record array: columns (schema order), rows, and the values every
+/// row shares. Extra columns' keys point into `extra`: move, never copy.
+struct record_table {
+  std::vector<record_column> columns;
+  std::vector<record_row> rows;
+  usize units_total = 0;
+  usize cells_total = 0;
+  char grid_hex[16] = {};  ///< grid as 16 lowercase hex digits
+  extra_fields extra;
+
+  record_table() = default;
+  record_table(record_table&&) = default;  // and no copies
+};
+
+/// Aggregate cell records — what an unsharded sweep emits: one record per
+/// cell, {"cell", "cells_total", "grid", "replicas"}, then the base
+/// replica's report columns with the safety fields (at_most_once,
+/// quiescent, wa_complete, duplicate) replaced by their any-replica fold,
+/// then the <metric>_<stat> summaries (exp::summary_stats), then the
+/// cell's summed wall clock (timing runs only), then `extra`. Aggregate
+/// output is always the whole grid, so record i's "cell" is i.
+/// exp::merge_stream rebuilds exactly these bytes from unit records.
+[[nodiscard]] record_table cell_table(const sweep_result& swept,
+                                      std::uint64_t grid, bool include_timing,
+                                      extra_fields extra = {});
+
+/// Per-replica unit records — what a sharded sweep emits: one record per
+/// owned (cell, replica) unit, {"unit", "units_total", "cell",
+/// "cells_total", "replica", "replicas", "grid"} then the replica's report
+/// columns (its "seed" is the exp::replica_seed-derived seed), then
+/// `extra`. Requires units.size() == reports.size().
+[[nodiscard]] record_table unit_table(const std::vector<run_report>& reports,
+                                      const std::vector<unit_ref>& units,
+                                      usize units_total, usize cells_total,
+                                      std::uint64_t grid, bool include_timing,
+                                      extra_fields extra = {});
+
+/// The unified record for one run_report, in schema order, pre-encoded.
 [[nodiscard]] std::vector<std::pair<std::string, std::string>> report_fields(
     const run_report& r, bool include_timing = true);
 
-/// Appends one record per report. `include_timing = false` omits
-/// wall_seconds so identical executions dump identical bytes.
+/// One record per report: the report columns, wall_seconds when timing.
 void add_reports(json_writer& out, const std::vector<run_report>& reports,
                  bool include_timing = true);
 
-/// Legacy sweep-grid records (pre-replica schema): report_fields prefixed
-/// with the record's global grid position {"cell": cell_indices[i],
-/// "cells_total": cells_total} and the grid's fingerprint {"grid": hex of
-/// exp::grid_fingerprint(full grid)}. Kept for non-replicated record
-/// producers and the merge pass-through path; replica-aware sweeps emit
-/// add_cell_records / add_unit_records below.
+/// Legacy sweep-grid records (pre-replica schema): the report columns
+/// prefixed with {"cell": cell_indices[i], "cells_total", "grid"}. Kept
+/// for non-replicated record producers and the merge pass-through path.
 void add_sweep_records(json_writer& out, const std::vector<run_report>& reports,
                        const std::vector<usize>& cell_indices,
                        usize cells_total, std::uint64_t grid,
                        bool include_timing = true);
 
-/// Extra caller-supplied fields appended verbatim at the end of each
-/// record (e.g. the serve layer's per-job timing fields).
-using extra_fields = std::vector<std::pair<std::string, std::string>>;
-
-/// Aggregate cell records — what an unsharded sweep emits: one record per
-/// cell, {"cell", "cells_total", "grid", "replicas"}, then the base
-/// replica's report_fields with the safety fields (at_most_once,
-/// quiescent, wa_complete, duplicate) replaced by their any-replica fold,
-/// then exp::summary_fields, then the cell's summed wall clock (timing
-/// runs only). Aggregate output is always the whole grid (sharded sweeps
-/// emit per-unit records instead), so record i's "cell" index is i and
-/// cells_total is swept.cells.size(). exp::merge_stream rebuilds exactly
-/// these bytes from per-unit shard records.
+/// json_writer::add(cell_table(...)) / json_writer::add(unit_table(...)).
 void add_cell_records(json_writer& out, const sweep_result& swept,
                       std::uint64_t grid, bool include_timing = true,
                       const extra_fields& extra = {});
-
-/// Per-replica unit records — what a sharded sweep emits: one record per
-/// owned (cell, replica) unit, {"unit", "units_total", "cell",
-/// "cells_total", "replica", "replicas", "grid"} then the replica's
-/// report_fields (its "seed" is the exp::replica_seed-derived seed).
-/// Requires units.size() == reports.size().
 void add_unit_records(json_writer& out, const std::vector<run_report>& reports,
                       const std::vector<unit_ref>& units, usize units_total,
                       usize cells_total, std::uint64_t grid,

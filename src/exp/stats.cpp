@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "exp/report.hpp"
-
 namespace amo::exp {
 
 namespace {
@@ -80,29 +78,24 @@ cell_stats fold_replicas(std::span<const run_report> runs) {
   return st;
 }
 
+std::span<const summary_stat> summary_stats() {
+  static constexpr summary_stat kStats[] = {
+      {"min", &metric_summary::min},       {"mean", &metric_summary::mean},
+      {"max", &metric_summary::max},       {"stddev", &metric_summary::stddev},
+      {"p50", &metric_summary::p50},       {"p95", &metric_summary::p95},
+  };
+  return kStats;
+}
+
 std::vector<std::pair<std::string, double>> summary_values(
     const cell_stats& stats) {
   std::vector<std::pair<std::string, double>> f;
-  f.reserve(24);
+  f.reserve(summary_metrics().size() * summary_stats().size());
   for (const summary_metric& m : summary_metrics()) {
-    const std::string base = m.name;
     const metric_summary& s = stats.*m.summary;
-    f.emplace_back(base + "_min", s.min);
-    f.emplace_back(base + "_mean", s.mean);
-    f.emplace_back(base + "_max", s.max);
-    f.emplace_back(base + "_stddev", s.stddev);
-    f.emplace_back(base + "_p50", s.p50);
-    f.emplace_back(base + "_p95", s.p95);
-  }
-  return f;
-}
-
-std::vector<std::pair<std::string, std::string>> summary_fields(
-    const cell_stats& stats) {
-  std::vector<std::pair<std::string, std::string>> f;
-  f.reserve(24);
-  for (auto& [name, value] : summary_values(stats)) {
-    f.emplace_back(std::move(name), json_writer::num(value));
+    for (const summary_stat& st : summary_stats()) {
+      f.emplace_back(std::string(m.name) + "_" + st.suffix, s.*st.value);
+    }
   }
   return f;
 }

@@ -85,16 +85,23 @@ struct summary_metric {
 /// steps.
 [[nodiscard]] std::span<const summary_metric> summary_metrics();
 
+/// One distribution statistic: its record-key suffix and where it lives in
+/// metric_summary.
+struct summary_stat {
+  const char* suffix;
+  double metric_summary::* value;
+};
+
+/// The six statistics, schema order: min, mean, max, stddev, p50, p95.
+[[nodiscard]] std::span<const summary_stat> summary_stats();
+
 /// The aggregate-record suffix every cell record carries, in schema order:
-/// <metric>_{min,mean,max,stddev,p50,p95} for effectiveness, work,
-/// collisions, steps. summary_values yields the decoded doubles,
-/// summary_fields the same sequence pre-encoded for exp::json_writer —
-/// shared by the sweep emitter and exp::merge_stream so both render
-/// bit-equal bytes (and merge's in-memory records keep value and raw in
-/// agreement).
+/// <metric>_<stat> for each summary_metrics() entry and each
+/// summary_stats() entry, as decoded doubles. exp::merge_stream re-renders
+/// its folded cells from these; the sweep emitter's exp::cell_table takes
+/// its summary columns from the same two tables, so both spell bit-equal
+/// bytes.
 [[nodiscard]] std::vector<std::pair<std::string, double>> summary_values(
-    const cell_stats& stats);
-[[nodiscard]] std::vector<std::pair<std::string, std::string>> summary_fields(
     const cell_stats& stats);
 
 }  // namespace amo::exp

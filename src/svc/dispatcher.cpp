@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string_view>
 #include <thread>
 
@@ -249,22 +250,18 @@ usize load_manifest(const std::string& path, std::vector<shard_run>& runs,
   const std::string want_args = fnv_hex64(args_fp);
   usize adopted = 0;
   for (const exp::record& rec : parsed.records) {
-    const exp::record_field* f_shard = rec.find("shard");
-    const exp::record_field* f_count = rec.find("shards");
     const exp::record_field* f_file = rec.find("file");
-    const exp::record_field* f_exit = rec.find("exit");
     const exp::record_field* f_hash = rec.find("fnv64");
     const exp::record_field* f_args = rec.find("args_fnv64");
-    if (f_shard == nullptr || f_count == nullptr || f_file == nullptr ||
-        f_exit == nullptr || f_hash == nullptr || f_args == nullptr) {
-      continue;
-    }
-    const auto index = static_cast<usize>(f_shard->number);
-    const auto count = static_cast<usize>(f_count->number);
-    const int exit_code = static_cast<int>(f_exit->number);
-    if (count != runs.size() || index >= runs.size() ||
-        (exit_code != 0 && exit_code != 1) || f_args->text != want_args) {
-      continue;  // a different partition or a different job: not ours
+    if (f_file == nullptr || f_hash == nullptr || f_args == nullptr) continue;
+    usize index = 0;
+    usize count = 0;
+    usize exit_code = 0;
+    if (!exp::read_index(rec, "shard", index) ||
+        !exp::read_index(rec, "shards", count) ||
+        !exp::read_index(rec, "exit", exit_code) || count != runs.size() ||
+        index >= runs.size() || exit_code > 1 || f_args->text != want_args) {
+      continue;  // malformed, a different partition or a different job
     }
     shard_run& run = runs[index];
     if (run.validated || f_file->text != run.file) continue;
@@ -295,7 +292,7 @@ usize load_manifest(const std::string& path, std::vector<shard_run>& runs,
     }
     run.validated = true;
     run.reused = true;
-    run.exit_code = exit_code;
+    run.exit_code = static_cast<int>(exit_code);
     run.content_fnv64 = fnv1a64(content);
     run.records = std::move(shard_parsed.records);
     run.status = "reused from manifest (exit " + std::to_string(exit_code) +
@@ -592,7 +589,6 @@ exp::merge_result merge_from_manifest(const std::string& manifest_file,
   struct entry {
     std::string file;
     std::string hash;  ///< fnv64 hex the dispatcher recorded
-    bool present = false;
   };
   std::vector<entry> set;  ///< the winning (shards, args_fnv64) set
 
@@ -610,55 +606,52 @@ exp::merge_result merge_from_manifest(const std::string& manifest_file,
       // Group the entries by checkpoint identity (partition width + args
       // fingerprint); the first identity to cover every shard index wins.
       // A manifest normally holds exactly one identity — several appear
-      // only when dispatches share a directory.
+      // only when dispatches share a directory. The counts are untrusted:
+      // a group holds only the entries present (keyed by shard index), so
+      // a declared width larger than the manifest allocates nothing.
       struct group {
         std::string args;
-        std::vector<entry> shards;
-        usize present = 0;
+        usize count = 0;
+        std::map<usize, entry> shards;
       };
       std::vector<group> groups;
       for (const exp::record& rec : parsed.records) {
-        const exp::record_field* f_shard = rec.find("shard");
-        const exp::record_field* f_count = rec.find("shards");
         const exp::record_field* f_file = rec.find("file");
-        const exp::record_field* f_exit = rec.find("exit");
         const exp::record_field* f_hash = rec.find("fnv64");
         const exp::record_field* f_args = rec.find("args_fnv64");
-        if (f_shard == nullptr || f_count == nullptr || f_file == nullptr ||
-            f_exit == nullptr || f_hash == nullptr || f_args == nullptr) {
-          continue;
-        }
-        const auto index = static_cast<usize>(f_shard->number);
-        const auto count = static_cast<usize>(f_count->number);
-        const int exit_code = static_cast<int>(f_exit->number);
-        if (count == 0 || index >= count || (exit_code != 0 && exit_code != 1)) {
+        usize index = 0;
+        usize count = 0;
+        usize exit_code = 0;
+        if (f_file == nullptr || f_hash == nullptr || f_args == nullptr ||
+            !exp::read_index(rec, "shard", index) ||
+            !exp::read_index(rec, "shards", count) ||
+            !exp::read_index(rec, "exit", exit_code) || count == 0 ||
+            index >= count || exit_code > 1) {
           continue;
         }
         group* g = nullptr;
         for (group& have : groups) {
-          if (have.shards.size() == count && have.args == f_args->text) {
+          if (have.count == count && have.args == f_args->text) {
             g = &have;
             break;
           }
         }
         if (g == nullptr) {
-          groups.push_back({f_args->text, std::vector<entry>(count), 0});
+          groups.push_back({f_args->text, count, {}});
           g = &groups.back();
         }
-        entry& e = g->shards[index];
-        if (!e.present) ++g->present;
-        e = {f_file->text, f_hash->text, true};
+        g->shards[index] = {f_file->text, f_hash->text};
       }
       usize best_present = 0;
       usize best_count = 0;
       for (const group& g : groups) {
-        if (g.present == g.shards.size()) {
-          set = g.shards;
+        if (g.shards.size() == g.count) {
+          for (const auto& [index, e] : g.shards) set.push_back(e);
           break;
         }
-        if (g.present > best_present) {
-          best_present = g.present;
-          best_count = g.shards.size();
+        if (g.shards.size() > best_present) {
+          best_present = g.shards.size();
+          best_count = g.count;
         }
       }
       if (set.empty()) {

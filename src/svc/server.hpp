@@ -69,11 +69,11 @@ struct job_result {
   /// `amo_lab run <scenarios> ... --out=F` would have written.
   [[nodiscard]] std::string render_json() const;
 
-  /// The output bytes in `format`: render_json() itself for JSON; for
-  /// colfmt, that same document re-parsed and encoded — going through the
-  /// rendered JSON (rather than a parallel record builder) is what
-  /// guarantees `amo_lab convert` back to JSON reproduces the render_json
-  /// bytes exactly. False with `error` on an encode failure.
+  /// The output bytes in `format`: render_json() for JSON; for colfmt,
+  /// the same record table encoded straight into column blocks. Both read
+  /// one column schema and the encoder applies the normative tag rules to
+  /// the typed values, so `amo_lab convert` back to JSON reproduces the
+  /// render_json bytes exactly. False with `error` on an encode failure.
   [[nodiscard]] bool render_output(exp::record_format format, std::string& out,
                                    std::string& error) const;
 };

@@ -12,6 +12,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -20,6 +22,7 @@
 #include "exp/colfmt.hpp"
 #include "exp/merge.hpp"
 #include "exp/record.hpp"
+#include "exp/registry.hpp"
 #include "exp/report.hpp"
 #include "svc/server.hpp"
 #include "svc/worker_pool.hpp"
@@ -44,8 +47,9 @@ void spit(const std::string& path, const std::string& bytes) {
 
 /// A record array exercising every column encoding: u64, f64 (shortest
 /// round-trip), strings with escapes, booleans, nulls, and raw tokens only
-/// the verbatim fallback can carry ("1e+05" is a valid JSON number whose
-/// value re-renders as "100000").
+/// the verbatim fallback can carry. "1e+05" alone would be tag 1 (it is
+/// json_writer::num(1e5)); "1.20" and "+1e3" are valid JSON numbers no
+/// typed encoding re-renders, so the "odd" column goes verbatim.
 const char* kTrickyJson =
     "[\n"
     "  {\"cell\": 0, \"count\": 18446744073709551615, \"x\": 0.1,"
@@ -328,6 +332,40 @@ TEST(Colfmt, StreamingReaderRejectsCraftedRowCounts) {
   }
 }
 
+TEST(Colfmt, StreamingReaderRejectsChunkLongerThanFile) {
+  // A valid header, then a chunk frame declaring 4 GiB: the reader must
+  // refuse it against the file size before allocating the chunk buffer.
+  const std::string image = crafted_amoc(1, 1, 1);
+  const usize header_len = 60 + 2 + 2 + 8;  // one column, "c0"
+  std::string bytes = image.substr(0, header_len) + "CHNK";
+  put_le(bytes, 0xFFFFFFFFu, 4);
+  bytes.append(400, '\0');
+  const std::string path = ::testing::TempDir() + "/long_chunk.amoc";
+  spit(path, bytes);
+
+  exp::colfmt_reader reader;
+  std::string error;
+  ASSERT_TRUE(reader.open(path.c_str(), error)) << error;
+  std::vector<exp::record> chunk;
+  bool end = false;
+  EXPECT_FALSE(reader.next_chunk(chunk, end, error));
+  EXPECT_NE(error.find("long_chunk.amoc"), std::string::npos) << error;
+  EXPECT_NE(error.find("offset " + std::to_string(header_len + 4)),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find("exceeds the " + std::to_string(bytes.size() - header_len) +
+                       " bytes left"),
+            std::string::npos)
+      << error;
+  EXPECT_TRUE(chunk.empty());
+
+  // The buffer decoder reports the same violation.
+  const exp::parse_result r = exp::colfmt_decode(bytes);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("bytes left in the file"), std::string::npos)
+      << r.error;
+}
+
 TEST(Colfmt, WriterRefusesAChunkAboveTheCap) {
   // 1025 rows x 1024 columns is one row past the cap; sharing cell 0
   // puts them all in one chunk.
@@ -525,6 +563,187 @@ TEST(Colfmt, CorruptShardFailsTheStreamingMerge) {
   const exp::merge_result r = exp::merge_stream(std::move(sources));
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.error.find("corrupt.amoc"), std::string::npos) << r.error;
+}
+
+// --- the typed route: render_output encodes run reports directly ---
+
+/// The block tag of every column in the first chunk of a .amoc image.
+std::map<std::string, int> first_chunk_tags(const std::string& b) {
+  const auto le = [&b](usize at, usize width) {
+    std::uint64_t v = 0;
+    for (usize i = width; i-- > 0;) {
+      v = (v << 8) | static_cast<unsigned char>(b[at + i]);
+    }
+    return static_cast<usize>(v);
+  };
+  const usize columns = le(56, 4);
+  usize pos = 60;
+  std::vector<std::string> names;
+  for (usize c = 0; c < columns; ++c) {
+    const usize len = le(pos, 2);
+    names.push_back(b.substr(pos + 2, len));
+    pos += 2 + len;
+  }
+  pos += 8;  // header checksum
+  const usize rows = le(pos + 16, 4);
+  pos += 20;  // chunk frame
+  std::map<std::string, int> tags;
+  for (usize c = 0; c < columns; ++c) {
+    const int tag = static_cast<unsigned char>(b[pos++]);
+    tags[names[c]] = tag;
+    if (tag == 0 || tag == 1) pos += 16 + 8 * rows;
+    if (tag == 3) pos += (rows + 7) / 8;
+    if (tag == 2 || tag == 5) {
+      for (usize r = 0; r < rows; ++r) pos += 4 + le(pos, 4);
+    }
+  }
+  return tags;
+}
+
+TEST(Colfmt, ExponentSpellingsPickTheirNormativeTags) {
+  // json_writer::num(1e5) is "1e+05" — to_chars picks the shorter
+  // scientific form — so f64 admits a lone 1e+05. "1e5" is valid JSON that
+  // no typed decoder re-renders, so only verbatim carries it.
+  EXPECT_EQ(exp::json_writer::num(1e5), "1e+05");
+  for (const auto& [token, tag] :
+       {std::pair<std::string, int>{"1e+05", 1}, {"1e5", 5}, {"100000", 0},
+        {"1.20", 5}, {"+1e3", 5}}) {
+    const exp::parse_result parsed =
+        exp::parse_records("[{\"odd\": " + token + "}]");
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    const std::string bytes = encode_or_die(parsed.records);
+    EXPECT_EQ(first_chunk_tags(bytes)["odd"], tag) << token;
+    const exp::parse_result back = exp::colfmt_decode(bytes);
+    ASSERT_TRUE(back.ok()) << back.error;
+    EXPECT_EQ(exp::render_records(back.records),
+              exp::render_records(parsed.records))
+        << token;
+  }
+}
+
+/// The reference route render_output replaced: render the JSON, parse it
+/// back, encode the parsed records.
+bool reference_colfmt(const svc::job_result& r, std::string& bytes) {
+  const exp::parse_result parsed = exp::parse_records(r.render_json());
+  std::string error;
+  return parsed.ok() && exp::colfmt_encode(parsed.records, bytes, error);
+}
+
+void expect_direct_matches_reference(const svc::job_result& r,
+                                     const std::string& what) {
+  std::string direct;
+  std::string reference;
+  std::string error;
+  ASSERT_TRUE(r.render_output(exp::record_format::colfmt, direct, error))
+      << what << ": " << error;
+  ASSERT_TRUE(reference_colfmt(r, reference)) << what;
+  EXPECT_EQ(direct, reference) << what;
+  const exp::parse_result back = exp::colfmt_decode(direct);
+  ASSERT_TRUE(back.ok()) << what << ": " << back.error;
+  EXPECT_EQ(exp::render_records(back.records), r.render_json()) << what;
+}
+
+TEST(Colfmt, RenderOutputMatchesTheParseAndEncodeRouteOnEveryScenario) {
+  svc::worker_pool pool(2);
+  for (const exp::scenario& sc : exp::scenario_registry()) {
+    for (const usize replicas : {usize{1}, usize{8}}) {
+      for (const bool sharded : {false, true}) {
+        svc::job j;
+        j.scenarios = {sc.name};
+        j.params.n = 12;
+        j.params.m = 2;
+        j.params.seeds = 2;
+        j.params.replicas = replicas;
+        if (sharded) {
+          j.have_shard = true;
+          j.shard = {1, 3};
+        }
+        svc::job_result r = svc::execute_job(j, pool);
+        ASSERT_TRUE(r.ok()) << sc.name << ": " << r.error;
+        // no_timing only changes rendering: timed records add wall_seconds
+        // and the job_wall_seconds / job_queue_seconds extras.
+        for (const bool no_timing : {true, false}) {
+          r.j.no_timing = no_timing;
+          expect_direct_matches_reference(
+              r, sc.name + " R=" + std::to_string(replicas) +
+                     (sharded ? " sharded" : "") +
+                     (no_timing ? " no-timing" : " timed"));
+        }
+      }
+    }
+  }
+}
+
+TEST(Colfmt, RenderOutputOfAnEmptyShardIsTheEmptyFile) {
+  // One unit, shard 1/2: the shard owns nothing.
+  svc::worker_pool pool(1);
+  svc::job j = small_job(1);
+  j.params.seeds = 1;
+  j.have_shard = true;
+  j.shard = {1, 2};
+  const svc::job_result r = svc::execute_job(j, pool);
+  ASSERT_TRUE(r.ok()) << r.error;
+  ASSERT_TRUE(r.runs().empty());
+  std::string direct;
+  std::string error;
+  ASSERT_TRUE(r.render_output(exp::record_format::colfmt, direct, error))
+      << error;
+  EXPECT_EQ(direct, encode_or_die({}));
+  expect_direct_matches_reference(r, "empty shard");
+}
+
+/// A sharded job result built by hand: one cell, one unit per ratio.
+svc::job_result hand_built(const std::vector<double>& ratios) {
+  svc::job_result r;
+  r.j.no_timing = true;
+  r.sharded = true;
+  r.cells_total = 1;
+  r.units_total = ratios.size();
+  r.grid = 0x0123456789abcdefULL;
+  for (usize i = 0; i < ratios.size(); ++i) {
+    exp::run_report rep;
+    rep.label = "hand/built";
+    rep.adversary = "random";
+    rep.n = 8;
+    rep.m = 2;
+    rep.worst_pair_ratio = ratios[i];
+    r.unit_reports.push_back(rep);
+    r.units.push_back({i, 0, i, ratios.size()});
+  }
+  return r;
+}
+
+TEST(Colfmt, DoubleColumnsTakeTheFirstAdmittingTag) {
+  std::string bytes;
+  std::string error;
+  // Every value spells as a canonical u64: tag 0, as the parsed route
+  // classifies "0" and "3".
+  const svc::job_result integral = hand_built({0.0, 3.0});
+  ASSERT_TRUE(integral.render_output(exp::record_format::colfmt, bytes, error))
+      << error;
+  EXPECT_EQ(first_chunk_tags(bytes)["worst_pair_ratio"], 0);
+  expect_direct_matches_reference(integral, "integral ratios");
+
+  // One fractional value makes the whole block f64.
+  const svc::job_result mixed = hand_built({0.0, 0.5, 2.0});
+  ASSERT_TRUE(mixed.render_output(exp::record_format::colfmt, bytes, error))
+      << error;
+  EXPECT_EQ(first_chunk_tags(bytes)["worst_pair_ratio"], 1);
+  expect_direct_matches_reference(mixed, "mixed ratios");
+}
+
+TEST(Colfmt, NonFiniteDoubleFailsClosed) {
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    const svc::job_result r = hand_built({1.0, bad});
+    std::string bytes;
+    std::string error;
+    EXPECT_FALSE(r.render_output(exp::record_format::colfmt, bytes, error));
+    EXPECT_NE(error.find("worst_pair_ratio"), std::string::npos) << error;
+    EXPECT_NE(error.find("non-finite"), std::string::npos) << error;
+    // The parse-and-encode route refuses the same document.
+    EXPECT_FALSE(reference_colfmt(r, bytes));
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "model/dpor.hpp"
 #include "model/explorer.hpp"
@@ -112,7 +113,13 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(2, 3, 1, 0, selection_rule::two_ends, kk_mode::plain),
         std::make_tuple(3, 3, 1, 1, selection_rule::two_ends, kk_mode::plain)));
 
-TEST(PorDifferential, RandomizedSmallConfigs) {
+/// 24 random small configs, pre-drawn from one seeded stream. No draw
+/// depends on an exploration result, so each config is fixed by its index
+/// and each runs as its own test (and ctest entry).
+std::vector<std::tuple<usize, usize, usize, usize, selection_rule, kk_mode>>
+random_small_configs() {
+  std::vector<std::tuple<usize, usize, usize, usize, selection_rule, kk_mode>>
+      out;
   xoshiro256 rng(0xd09u);
   for (int i = 0; i < 24; ++i) {
     const usize m = static_cast<usize>(rng.between(2, 3));
@@ -126,22 +133,13 @@ TEST(PorDifferential, RandomizedSmallConfigs) {
                              ? kk_mode::iter_step
                              : rng.chance(1, 2) ? kk_mode::wa_iter_step
                                                 : kk_mode::plain;
-    explore_options bo;
-    bo.cfg = make_cfg(n, m, beta, f, rule, mode);
-    bo.max_states = 4'000'000;
-    const explore_result brute = explore(bo);
-    if (!brute.complete) continue;  // brute capped: nothing to compare against
-
-    por_options po;
-    po.cfg = bo.cfg;
-    po.max_states = 4'000'000;
-    const explore_result por = explore_por(po);
-    expect_equivalent(brute, por,
-                      "random n=" + std::to_string(n) + " m=" +
-                          std::to_string(m) + " beta=" + std::to_string(beta) +
-                          " f=" + std::to_string(f));
+    out.emplace_back(n, m, beta, f, rule, mode);
   }
+  return out;
 }
+
+INSTANTIATE_TEST_SUITE_P(RandomSmall, PorDifferential,
+                         ::testing::ValuesIn(random_small_configs()));
 
 TEST(PorDeterminism, BitIdenticalAtAnyPoolSize) {
   const auto cfg =

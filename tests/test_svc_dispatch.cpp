@@ -17,6 +17,7 @@
 #include "svc/job.hpp"
 #include "svc/server.hpp"
 #include "svc/worker_pool.hpp"
+#include "util/fnv.hpp"
 
 namespace amo {
 namespace {
@@ -240,6 +241,46 @@ TEST(SvcDispatch, ResumeAdoptsValidatedShardsFromTheManifest) {
   std::remove((marker + "_0").c_str());
   std::remove((marker + "_1").c_str());
   std::remove(go.c_str());
+}
+
+TEST(SvcDispatch, ManifestMergeFailsClosedOnHostileShardCounts) {
+  // One checkpointed shard whose "shards" count is hostile. A count is read
+  // like every index (non-negative integral numbers only), and a declared
+  // width larger than the manifest allocates nothing: the group simply
+  // never completes.
+  const std::string dir = ::testing::TempDir();
+  const std::string shard = dir + "/hostile_shard.json";
+  const std::string content =
+      "[\n  {\"cell\": 0, \"cells_total\": 1, \"grid\": \"g\", "
+      "\"effectiveness\": 1}\n]\n";
+  std::ofstream(shard, std::ios::binary) << content;
+  const std::string manifest = dir + "/hostile-manifest.json";
+  const auto merge_with = [&](const std::string& count) {
+    std::ofstream(manifest, std::ios::binary | std::ios::trunc)
+        << "[\n  {\"shard\": 0, \"shards\": " << count << ", \"file\": \""
+        << shard << "\", \"exit\": 0, \"fnv64\": \""
+        << fnv_hex64(fnv1a64(content)) << "\", \"args_fnv64\": \"0\"}\n]\n";
+    return svc::merge_from_manifest(manifest, 0, /*quiet=*/true);
+  };
+
+  const exp::merge_result control = merge_with("1");
+  ASSERT_TRUE(control.ok()) << control.error;
+  EXPECT_EQ(control.records.size(), 1u);
+
+  const exp::merge_result huge = merge_with("1e12");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_NE(huge.error.find("holds 1 of 1000000000000 shards"),
+            std::string::npos)
+      << huge.error;
+
+  for (const std::string count : {"-1", "2.5", "\"3\"", "1e300"}) {
+    const exp::merge_result r = merge_with(count);
+    ASSERT_FALSE(r.ok()) << count;
+    EXPECT_NE(r.error.find("no usable shard entries"), std::string::npos)
+        << count << ": " << r.error;
+  }
+  std::remove(shard.c_str());
+  std::remove(manifest.c_str());
 }
 
 TEST(SvcDispatch, CapturesSubprocessOutput) {
