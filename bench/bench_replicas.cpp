@@ -13,22 +13,25 @@
 //              gates the >= 3x floor at R >= 8.
 //   seeded/xR  n=256 m=3  — seed-dependent adversaries (random,
 //              random+crash, block64): every replica runs its own lane,
-//              so the win is per-step only — the inlined lane driver
-//              replaces the scalar scheduler's virtual decide/step
-//              dispatch and per-step view assembly (~18 ns/step) with a
-//              register-resident decision loop (~8 ns/step). The
-//              automaton itself (~30 ns/step) is shared cost, which caps
-//              this grid near 1.5x; the floor is >= 1.1x at R >= 8.
+//              so the win is per-step only: the block runs the same
+//              scheduler loop and KK driver as the scalar engine, but
+//              instantiated over the concrete adversary and process
+//              types, so decide() and step() inline and the adversary's
+//              state stays in registers, and every replica's FREE sets
+//              come from one SoA lane arena. The automaton itself is
+//              shared cost, which caps this grid near 1.4x; the floor is
+//              >= 1.1x at R >= 8.
 //   mix/xR     n=256 m=3  — all six classes, reported for context: the
 //              composition of a real grid decides where between the two
 //              bounds it lands.
 //   bigm/xR    n=256 m=33 — wide-word seeded cells; gates the
 //              "batched >= scalar at m >= 32" floor.
 //
-// Each row runs the same grid twice through the serial sweep path — once
-// with batching forced off (batch=0), once in auto — and reports both
-// units/second figures, their ratio, and whether the no-timing aggregate
-// JSON is byte-identical between the two (bit_identical gates in CI).
+// Each row runs the same grid through the serial sweep path with batching
+// forced off (batch=0) and in auto, alternating the two kReps times, and
+// reports each side's best units/second figure, their ratio, and whether
+// the no-timing aggregate JSON is byte-identical between the two
+// (bit_identical gates in CI).
 #include <thread>
 
 #include "bench_common.hpp"
@@ -41,7 +44,10 @@ namespace {
 
 using namespace amo;
 
-constexpr int kReps = 2;  ///< min-of-reps vs 1-core CI noise
+/// Each rep times one scalar and one batched pass back to back, and each
+/// side keeps its fastest rep: a load spike on a shared box then hits both
+/// sides of a rep alike instead of one side's whole series.
+constexpr int kReps = 7;
 
 exp::run_spec cell(const char* label, const char* adv, std::uint64_t seed,
                    usize m, usize replicas) {
@@ -98,22 +104,26 @@ std::string aggregate_json(const exp::sweep_result& swept, std::uint64_t fp) {
   return json.dump();
 }
 
-/// Serial sweep at a fixed batch width, min wall over kReps.
-exp::sweep_result timed_sweep(const std::vector<exp::run_spec>& cells,
-                              usize batch, double& best) {
-  exp::sweep_options serial;
-  serial.pool_size = 1;
-  exp::sweep_result out;
-  for (int rep = 0; rep < kReps; ++rep) {
+/// One side of the comparison: a serial sweep at a fixed batch width, and
+/// its fastest wall time so far.
+struct timed_side {
+  explicit timed_side(usize width) : batch(width) {}
+
+  usize batch;
+  double best = 0.0;
+  exp::sweep_result result;
+
+  void run(const std::vector<exp::run_spec>& cells) {
+    exp::sweep_options serial;
+    serial.pool_size = 1;
     exp::sweep_result cur =
         exp::sweep(cells, serial, exp::batch_options{batch});
-    if (rep == 0 || cur.wall_seconds < best) {
+    if (result.reports.empty() || cur.wall_seconds < best) {
       best = cur.wall_seconds;
-      out = std::move(cur);
+      result = std::move(cur);
     }
   }
-  return out;
-}
+};
 
 }  // namespace
 
@@ -149,11 +159,16 @@ int main() {
       const usize units = exp::unit_count(cells);
       const std::uint64_t fp = exp::grid_fingerprint(cells);
 
-      double scalar_wall = 0.0;
-      const exp::sweep_result scalar = timed_sweep(cells, 0, scalar_wall);
-      double batched_wall = 0.0;
-      const exp::sweep_result batched =
-          timed_sweep(cells, exp::batch_auto, batched_wall);
+      timed_side scalar_side{0};
+      timed_side batched_side{exp::batch_auto};
+      for (int rep = 0; rep < kReps; ++rep) {
+        scalar_side.run(cells);
+        batched_side.run(cells);
+      }
+      const exp::sweep_result& scalar = scalar_side.result;
+      const exp::sweep_result& batched = batched_side.result;
+      const double scalar_wall = scalar_side.best;
+      const double batched_wall = batched_side.best;
 
       const bool identical =
           aggregate_json(batched, fp) == aggregate_json(scalar, fp);

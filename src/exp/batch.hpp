@@ -2,33 +2,31 @@
 //
 // A sweep cell is run_spec × R deterministic replicas; the scalar path runs
 // R independent engine passes that differ only in the adversary seed. This
-// engine advances a whole block of replicas of one cell in a single pass:
-// the spec is decoded once, every replica lane gets its own PRNG stream,
-// op_counters, checker and ledger, and the FREE bitmaps of all lanes live
-// in one lane-major SoA arena (sets/lane_free_set.hpp) allocated and
-// initialized in one sweep. Per-replica reports — including every charged
-// op count — are bit-identical to running replica_spec(cell, r) through
-// exp::run, which is what tests/test_batch_parity.cpp pins down.
-// docs/batched_kernel.md walks through the layout, the charge accounting
-// and the determinism argument.
+// engine runs a whole block of replicas of one cell as one task. Per-replica
+// reports — including every charged op count — are bit-identical to running
+// replica_spec(cell, r) through exp::run, which is what
+// tests/test_batch_parity.cpp pins down. docs/batched_kernel.md walks
+// through the layout, the charge accounting and the determinism argument.
 //
-// Two execution strategies, chosen from the adversary's seed dependence:
+// Two execution strategies, chosen from the type exp::make_adversary builds
+// for the cell:
 //
 //  - replicate: schedules that ignore their seed (round_robin, stale_view,
 //    announce_crash, scripted:/replay:) make every replica of a cell the
 //    *same* execution — the only per-replica report field is the echoed
 //    seed. The engine runs one scalar pass and replicates the report,
 //    patching rep.seed per replica. Provably identical, R× cheaper.
-//  - lanes: seeded schedules (random, random+crash[:n/d], block4/64,
-//    block:q) interleave R independent lane simulations in one pass,
-//    reproducing the scheduler loop and the adversary's exact
-//    draw-consumption order per lane (util/fastdiv.hpp keeps the modulo
-//    stream bit-identical without per-step hardware division).
+//  - lanes: seeded schedules (random_adversary: random, random+crash[:n/d];
+//    block_adversary: block4/64, block:q) run each replica through
+//    exp::run's own KK driver and sim::scheduler loop, instantiated over the
+//    concrete adversary and process types so decide() and step() inline,
+//    with every replica's FREE sets drawn from one lane-major SoA arena
+//    (sets/lane_free_set.hpp) allocated and initialized once per block.
 //
-// Anything else — unknown adversary names, trace recording, non-sim memory,
-// non-bitset free sets, the iterative/baseline families — is not batchable;
-// callers fall back to the scalar engine (exp/sweep.cpp does this per
-// cell), which preserves the scalar path's exact throw behavior.
+// Anything else — adversaries make_adversary rejects, trace recording,
+// non-sim memory, non-bitset free sets, the iterative/baseline families — is
+// not batchable; callers fall back to the scalar engine (exp/sweep.cpp does
+// this per cell), which preserves the scalar path's exact throw behavior.
 #pragma once
 
 #include <span>
@@ -54,13 +52,13 @@ struct batch_options {
 enum class batch_class : std::uint8_t {
   not_batchable,  ///< run each replica through the scalar engine
   replicate,      ///< seed-independent schedule: run once, replicate report
-  lanes,          ///< seeded schedule: multi-lane kernel
+  lanes,          ///< seeded schedule: one arena-backed lane per replica
 };
 
-/// Classifies a cell for the batched engine. Conservative by construction:
-/// only specs whose execution the lane kernel reproduces exactly (kk/ao2 ×
-/// scheduled × sim × bitset, no trace recording, known adversary grammar)
-/// are batchable; everything else falls back to the scalar engine.
+/// Classifies a cell for the batched engine. Fails closed: only kk/ao2 ×
+/// scheduled × sim × bitset specs without trace recording, whose adversary
+/// make_adversary builds as one of the listed types, are batchable;
+/// everything else falls back to the scalar engine.
 [[nodiscard]] batch_class classify_batch(const run_spec& cell);
 
 [[nodiscard]] inline bool batchable(const run_spec& cell) {
@@ -68,8 +66,8 @@ enum class batch_class : std::uint8_t {
 }
 
 /// Runs the given replicas of `cell` (indices into [0, resolved_replicas),
-/// strictly ascending — shard slices hand in strided subsets) in one
-/// batched pass. Returns one report per requested replica, in order, each
+/// strictly ascending — shard slices hand in strided subsets) as one
+/// block. Returns one report per requested replica, in order, each
 /// bit-identical (except wall_seconds) to run(replica_spec(cell, r)).
 /// Preconditions: classify_batch(cell) != not_batchable, replicas nonempty.
 /// Throws exactly when the scalar engine would (spec-level errors are

@@ -1,8 +1,10 @@
 #include "exp/engine.hpp"
 
+#include <memory>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/amo_checker.hpp"
@@ -11,12 +13,12 @@
 #include "baselines/write_all_baselines.hpp"
 #include "core/iterative_kk.hpp"
 #include "core/wa_iterative_kk.hpp"
-#include "exp/harvest.hpp"
 #include "mem/atomic_memory.hpp"
 #include "mem/sim_memory.hpp"
 #include "model/dpor.hpp"
 #include "model/explorer.hpp"
 #include "sets/fenwick_rank_set.hpp"
+#include "sets/lane_free_set.hpp"
 #include "sets/ostree.hpp"
 #include "sim/scheduler.hpp"
 #include "util/math.hpp"
@@ -31,8 +33,64 @@ namespace {
   throw std::invalid_argument("exp::run: " + why);
 }
 
-// echo_spec / harvest_checker / harvest_kk live in exp/harvest.hpp, shared
-// with the batched replica engine (exp/batch.cpp).
+void echo_spec(run_report& rep, const run_spec& s) {
+  rep.label = s.label;
+  rep.algo = s.algo;
+  rep.driver = s.driver;
+  rep.memory = s.memory;
+  rep.free_set = s.free_set;
+  rep.n = s.n;
+  rep.m = s.m;
+  rep.beta = s.beta == 0 ? s.m : s.beta;
+  rep.eps_inv = s.eps_inv;
+  rep.crash_budget = s.crash_budget;
+}
+
+/// Echoes the spec's own adversary. For scripted:/replay: specs only the
+/// prefix is echoed — the embedded trace can run to megabytes and is
+/// reproducible from the spec. Parameterized names (block:16, ...) are
+/// echoed verbatim: the parameters ARE the identity.
+void echo_adversary(run_report& rep, const adversary_spec& a) {
+  if (std::string_view(a.name).starts_with("scripted:") ||
+      std::string_view(a.name).starts_with("replay:")) {
+    rep.adversary = a.name.substr(0, a.name.find(':'));
+  } else {
+    rep.adversary = a.name;
+  }
+  rep.seed = a.seed;
+}
+
+/// AO2 is KK_beta with the two-ends selection rule at its only valid
+/// operating point; normalize so the report echoes resolved values.
+void normalize_ao2(run_spec& s) {
+  if (s.algo != algo_family::ao2) return;
+  if (s.m != 2) bad_spec("ao2 is the two-process building block (m must be 2)");
+  s.beta = 1;
+  s.rule = selection_rule::two_ends;
+}
+
+void harvest_checker(run_report& rep, const amo_checker& checker) {
+  rep.effectiveness = checker.distinct();
+  rep.perform_events = checker.total_events();
+  rep.at_most_once = checker.ok();
+  rep.duplicate = checker.first_duplicate();
+}
+
+/// Aggregates KK_beta per-process tallies; shared by every memory backend
+/// and driver.
+template <class Proc>
+void harvest_kk(run_report& rep, const std::vector<std::unique_ptr<Proc>>& procs) {
+  usize stopped = 0;
+  for (const auto& p : procs) {
+    rep.per_process.push_back(p->stats());
+    rep.total_work += p->stats().work;
+    rep.total_collisions +=
+        p->stats().collisions_try + p->stats().collisions_done;
+    if (p->status() == kk_status::end) ++rep.terminated;
+    if (p->status() == kk_status::stop) ++stopped;
+  }
+  rep.crashes = stopped;
+}
 
 template <class Proc>
 void harvest_iter(run_report& rep, const std::vector<std::unique_ptr<Proc>>& procs) {
@@ -86,11 +144,20 @@ void drive_threads(std::vector<std::unique_ptr<Proc>>& procs,
   }  // jthreads join on scope exit
 }
 
-/// Runs a vector of automata under the scheduled driver and records the
-/// liveness outcome.
-void drive_scheduled(run_report& rep, std::vector<automaton*> handles,
-                     sim::adversary& adv, usize crash_budget, usize limit) {
-  sim::scheduler sched(std::move(handles));
+/// Runs the processes under the scheduled driver and records the liveness
+/// outcome. A type-erased adversary (exp::run's path) drives them as
+/// automata; a concrete one (the replica block's path) drives the concrete
+/// process type, so decide() and step() inline into the scheduler loop.
+template <class Proc, class Adv>
+void drive_scheduled(run_report& rep,
+                     const std::vector<std::unique_ptr<Proc>>& procs, Adv& adv,
+                     usize crash_budget, usize limit) {
+  using P = std::conditional_t<std::is_same_v<Adv, sim::adversary>, automaton,
+                               Proc>;
+  std::vector<P*> handles;
+  handles.reserve(procs.size());
+  for (const auto& p : procs) handles.push_back(p.get());
+  sim::scheduler<P> sched(std::move(handles));
   const sim::run_result res = sched.run(adv, crash_budget, limit);
   rep.total_steps = res.total_steps;
   rep.quiescent = res.quiescent;
@@ -103,17 +170,14 @@ void drive_scheduled(run_report& rep, std::vector<automaton*> handles,
 /// one place the driver dichotomy and the step-limit policy exist: an
 /// explicit spec.max_steps wins; otherwise the defensive default limit,
 /// times `limit_scale` for algorithms that run multiple levels.
-template <class Proc>
+template <class Proc, class Adv>
 void drive_spec(run_report& rep, std::vector<std::unique_ptr<Proc>>& procs,
-                const run_spec& s, sim::adversary* adv, usize limit_scale = 1) {
+                const run_spec& s, Adv* adv, usize limit_scale = 1) {
   if (s.driver == driver_kind::scheduled) {
-    std::vector<automaton*> handles;
-    handles.reserve(procs.size());
-    for (const auto& p : procs) handles.push_back(p.get());
     const usize limit = s.max_steps != 0
                             ? s.max_steps
                             : sim::default_step_limit(s.n, s.m) * limit_scale;
-    drive_scheduled(rep, std::move(handles), *adv, s.crash_budget, limit);
+    drive_scheduled(rep, procs, *adv, s.crash_budget, limit);
   } else {
     drive_threads(procs, s.crashes);
   }
@@ -133,10 +197,19 @@ void harvest_automata(run_report& rep,
   rep.crashes = crashed;
 }
 
-template <class M, rank_set FS>
+/// The FREE-set source of exp::run: every process starts from the full
+/// universe. The replica block hands out lanes of one SoA arena instead.
+template <rank_set FS>
+struct full_free_sets {
+  FS operator()(process_id /*pid*/, job_id universe) const {
+    return FS::full(universe);
+  }
+};
+
+template <class M, rank_set FS, class FreeSets>
 std::vector<std::unique_ptr<kk_process<M, FS>>> build_kk_procs(
     M& mem, const run_spec& s, amo_checker& checker, collision_ledger* ledger,
-    const run_hooks* hooks) {
+    const run_hooks* hooks, const FreeSets& free_sets) {
   std::vector<std::unique_ptr<kk_process<M, FS>>> procs;
   procs.reserve(s.m);
   for (process_id pid = 1; pid <= s.m; ++pid) {
@@ -157,23 +230,25 @@ std::vector<std::unique_ptr<kk_process<M, FS>>> build_kk_procs(
         ledger->record(p, j, announcer, via_done, checker);
       };
     }
-    procs.push_back(
-        std::make_unique<kk_process<M, FS>>(mem, cfg, nullptr, std::move(kh)));
+    procs.push_back(std::make_unique<kk_process<M, FS>>(
+        mem, cfg, free_sets(pid, static_cast<job_id>(s.n)), nullptr,
+        std::move(kh)));
   }
   return procs;
 }
 
-template <class M, rank_set FS>
-void run_kk_impl(const run_spec& s, sim::adversary* adv, const run_hooks* hooks,
-                 run_report& rep) {
+template <class M, rank_set FS, class Adv = sim::adversary,
+          class FreeSets = full_free_sets<FS>>
+void run_kk_impl(const run_spec& s, Adv* adv, const run_hooks* hooks,
+                 run_report& rep, const FreeSets& free_sets = {}) {
   M mem(s.m, s.n);
   amo_checker checker(s.n);
   // The collision ledger is scheduled-driver only: it is not thread-safe,
   // and under real threads the interleaving is not reproducible anyway.
   const bool want_ledger = s.driver == driver_kind::scheduled;
   collision_ledger ledger(want_ledger ? s.m : 1, want_ledger ? s.n : 1);
-  auto procs = build_kk_procs<M, FS>(mem, s, checker,
-                                     want_ledger ? &ledger : nullptr, hooks);
+  auto procs = build_kk_procs<M, FS>(
+      mem, s, checker, want_ledger ? &ledger : nullptr, hooks, free_sets);
 
   stopwatch clock;
   drive_spec(rep, procs, s, adv);
@@ -354,13 +429,7 @@ run_report run_impl(run_spec s, sim::adversary* adv, const run_hooks* hooks,
                     svc::worker_pool* por_pool = nullptr) {
   // Family validation runs before the degenerate-universe shortcut: an
   // invalid spec must throw, not return a vacuously passing report.
-  if (s.algo == algo_family::ao2) {
-    // AO2 is KK_beta with the two-ends selection rule at its only valid
-    // operating point; normalize so the report echoes resolved values.
-    if (s.m != 2) bad_spec("ao2 is the two-process building block (m must be 2)");
-    s.beta = 1;
-    s.rule = selection_rule::two_ends;
-  }
+  normalize_ao2(s);
   const bool wa_baseline = s.algo == algo_family::wa_trivial ||
                            s.algo == algo_family::wa_split_scan ||
                            s.algo == algo_family::wa_progress_tree;
@@ -409,17 +478,7 @@ run_report run_impl(run_spec s, sim::adversary* adv, const run_hooks* hooks,
       owned = make_adversary(s.adversary);
       if (!owned) bad_spec("unknown adversary '" + s.adversary.name + "'");
       adv = owned.get();
-      // For scripted:/replay: specs echo only the prefix — the embedded
-      // trace can run to megabytes and is reproducible from the spec.
-      // Parameterized names (block:16, ...) are echoed verbatim: the
-      // parameters ARE the identity.
-      if (std::string_view(s.adversary.name).starts_with("scripted:") ||
-          std::string_view(s.adversary.name).starts_with("replay:")) {
-        rep.adversary = s.adversary.name.substr(0, s.adversary.name.find(':'));
-      } else {
-        rep.adversary = s.adversary.name;
-      }
-      rep.seed = s.adversary.seed;
+      echo_adversary(rep, s.adversary);
     } else {
       rep.adversary = adv->name();
     }
@@ -477,7 +536,51 @@ run_report run_impl(run_spec s, sim::adversary* adv, const run_hooks* hooks,
   return rep;
 }
 
+/// One replica of a seeded cell on the replica block's path: the concrete
+/// adversary and process types instantiate the scheduler loop with decide()
+/// and step() inlined, and the processes' FREE sets are lane `lane`'s m
+/// rows of the block's arena.
+template <class Adv>
+void run_replica_lane(const run_spec& s, Adv& adv, lane_free_arena& arena,
+                      usize lane, run_report& rep) {
+  const usize first_row = lane * s.m;
+  run_kk_impl<sim_memory, lane_free_set>(
+      s, &adv, nullptr, rep, [&arena, first_row](process_id pid, job_id) {
+        return arena.view(first_row + pid - 1);
+      });
+}
+
 }  // namespace
+
+namespace detail {
+
+std::vector<run_report> run_seeded_replicas(const run_spec& cell,
+                                            std::span<const usize> replicas) {
+  // Replica l's process p owns arena row l*m + p-1, so the whole block's
+  // FREE sets come from one allocation initialized in one pass.
+  lane_free_arena arena(static_cast<job_id>(cell.n), replicas.size() * cell.m);
+  std::vector<run_report> out;
+  out.reserve(replicas.size());
+  for (usize lane = 0; lane < replicas.size(); ++lane) {
+    run_spec s = replica_spec(cell, replicas[lane]);
+    normalize_ao2(s);
+    run_report rep;
+    echo_spec(rep, s);
+    echo_adversary(rep, s.adversary);
+    const std::unique_ptr<sim::adversary> adv = make_adversary(s.adversary);
+    if (auto* r = dynamic_cast<sim::random_adversary*>(adv.get())) {
+      run_replica_lane(s, *r, arena, lane, rep);
+    } else if (auto* b = dynamic_cast<sim::block_adversary*>(adv.get())) {
+      run_replica_lane(s, *b, arena, lane, rep);
+    } else {
+      bad_spec("adversary '" + s.adversary.name + "' has no seeded lane type");
+    }
+    out.push_back(std::move(rep));
+  }
+  return out;
+}
+
+}  // namespace detail
 
 std::unique_ptr<sim::adversary> make_adversary(const adversary_spec& spec) {
   const std::string& name = spec.name;

@@ -11,10 +11,15 @@ namespace {
 
 // Recursive-descent JSON reader over a string_view. Each parse_* returns
 // false after recording the first error; callers propagate immediately.
+// skip_container is the only recursion, and it stops at max_depth nested
+// containers, so a hostile document cannot exhaust the stack.
 struct parser {
+  static constexpr usize max_depth = 256;
+
   std::string_view s;
   usize p = 0;
   std::string error;
+  usize depth = 0;
 
   bool fail(const char* what) {
     if (error.empty()) {
@@ -121,6 +126,25 @@ struct parser {
     return true;
   }
 
+  // Parses an integer token into T. A fraction, an exponent or a value
+  // outside T's range is an error: converting such a number would be UB.
+  template <class T>
+  bool parse_integer(T& out) {
+    skip_ws();
+    const usize start = p;
+    if (p < s.size() && s[p] == '-') ++p;
+    while (p < s.size() && s[p] >= '0' && s[p] <= '9') ++p;
+    const auto [end, ec] =
+        std::from_chars(s.data() + start, s.data() + p, out);
+    const bool more = p < s.size() &&
+                      (s[p] == '.' || s[p] == 'e' || s[p] == 'E');
+    if (ec != std::errc() || end != s.data() + p || more) {
+      p = start;
+      return fail("expected an integer in range");
+    }
+    return true;
+  }
+
   // Parses any JSON value without capturing it.
   bool skip_value() {  // NOLINT(misc-no-recursion)
     const char c = peek();
@@ -145,6 +169,14 @@ struct parser {
   }
 
   bool skip_container(char open, char close) {  // NOLINT(misc-no-recursion)
+    if (depth == max_depth) return fail("containers nested too deep");
+    ++depth;
+    const bool ok = skip_container_body(open, close);
+    --depth;
+    return ok;
+  }
+
+  bool skip_container_body(char open, char close) {  // NOLINT(misc-no-recursion)
     if (!expect(open)) return false;
     if (peek() == close) {
       ++p;
@@ -251,9 +283,7 @@ struct parser {
       } else if (key == "name") {
         if (!parse_string(ev.name)) return false;
       } else if (key == "pid" || key == "tid") {
-        double v = 0;
-        if (!parse_number(v)) return false;
-        (key == "pid" ? ev.pid : ev.tid) = static_cast<int>(v);
+        if (!parse_integer(key == "pid" ? ev.pid : ev.tid)) return false;
       } else if (key == "ts" || key == "dur") {
         if (!parse_number(key == "ts" ? ev.ts_us : ev.dur_us)) return false;
       } else if (key == "args") {
@@ -288,9 +318,7 @@ struct parser {
       std::string key;
       if (!parse_string(key) || !expect(':')) return false;
       if (key == "dropped_events") {
-        double v = 0;
-        if (!parse_number(v)) return false;
-        if (v > 0) out.dropped = static_cast<std::uint64_t>(v);
+        if (!parse_integer(out.dropped)) return false;
       } else {
         if (!skip_value()) return false;
       }

@@ -3,7 +3,7 @@
 // words plane (lane-major: lane `l`'s bitmap is the contiguous row
 // words[l*num_words .. l*num_words+num_words)), a superblock-count plane,
 // and a cardinality array — plus the charge-model log floor shared by every
-// lane. The block driver runs one lane to completion at a time (lanes are
+// lane. The replica block runs one lane to completion at a time (lanes are
 // independent), so the contiguous row keeps a lane's hot words in the same
 // cache lines a scalar bitmap would use, while the one-pass word-parallel
 // initialization amortizes across the block what R scalar runs would each

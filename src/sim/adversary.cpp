@@ -10,38 +10,6 @@ decision round_robin_adversary::decide(const sched_view& v) {
   return {decision::kind::step, pid};
 }
 
-random_adversary::random_adversary(std::uint64_t seed, std::uint64_t crash_num,
-                                   std::uint64_t crash_den)
-    : rng_(seed), crash_num_(crash_num), crash_den_(crash_den) {}
-
-decision random_adversary::decide(const sched_view& v) {
-  const process_id pid =
-      v.runnable[static_cast<usize>(pick_.below(rng_, v.runnable.size()))];
-  if (crash_num_ > 0 && v.crashes_used < v.crash_budget &&
-      coin_.below(rng_, crash_den_) < crash_num_) {
-    return {decision::kind::crash, pid};
-  }
-  return {decision::kind::step, pid};
-}
-
-block_adversary::block_adversary(std::uint64_t seed, usize quantum)
-    : rng_(seed), quantum_(quantum == 0 ? 1 : quantum) {}
-
-decision block_adversary::decide(const sched_view& v) {
-  // Continue the current quantum if its owner is still runnable.
-  if (remaining_ > 0 && current_ != 0) {
-    for (const process_id pid : v.runnable) {
-      if (pid == current_) {
-        --remaining_;
-        return {decision::kind::step, pid};
-      }
-    }
-  }
-  current_ = v.runnable[static_cast<usize>(rng_.below(v.runnable.size()))];
-  remaining_ = quantum_ - 1;
-  return {decision::kind::step, current_};
-}
-
 stale_view_adversary::stale_view_adversary(usize leader_actions)
     : leader_actions_(leader_actions) {}
 

@@ -68,12 +68,25 @@ class round_robin_adversary final : public adversary {
 /// Uniformly random runnable process each round; with probability
 /// crash_num/crash_den (and while budget lasts) crashes it instead. Both
 /// draws go through a bounded_draw cache, so they are divide-free yet
-/// bit-identical to xoshiro256::below / chance.
+/// bit-identical to xoshiro256::below / chance. decide() is defined here so
+/// that a scheduler run over this concrete type inlines it.
 class random_adversary final : public adversary {
  public:
   explicit random_adversary(std::uint64_t seed, std::uint64_t crash_num = 0,
-                            std::uint64_t crash_den = 1000);
-  decision decide(const sched_view& v) override;
+                            std::uint64_t crash_den = 1000)
+      : rng_(seed), crash_num_(crash_num), crash_den_(crash_den) {}
+
+  decision decide(const sched_view& v) override {
+    const process_id pid =
+        v.runnable[static_cast<usize>(pick_.below(rng_, v.runnable.size()))];
+    // Short-circuit order matters: the coin is only drawn while a crash is
+    // still possible.
+    if (crash_num_ > 0 && v.crashes_used < v.crash_budget &&
+        coin_.below(rng_, crash_den_) < crash_num_) {
+      return {decision::kind::crash, pid};
+    }
+    return {decision::kind::step, pid};
+  }
   [[nodiscard]] const char* name() const override { return "random"; }
 
  private:
@@ -85,15 +98,33 @@ class random_adversary final : public adversary {
 };
 
 /// Picks a random runnable process and runs it for `quantum` consecutive
-/// actions before re-picking. Large quanta create divergent FREE views.
+/// actions before re-picking. Large quanta create divergent FREE views. The
+/// pick draws through a bounded_draw cache, bit-identical to
+/// xoshiro256::below; decide() is inline for the same reason as above.
 class block_adversary final : public adversary {
  public:
-  block_adversary(std::uint64_t seed, usize quantum);
-  decision decide(const sched_view& v) override;
+  block_adversary(std::uint64_t seed, usize quantum)
+      : rng_(seed), quantum_(quantum == 0 ? 1 : quantum) {}
+
+  decision decide(const sched_view& v) override {
+    // Continue the current quantum if its owner is still runnable. The
+    // runnable list is exactly {p : p->runnable()} at every decision, so
+    // asking the owner is the O(1) form of searching the list for it.
+    if (remaining_ > 0 && current_ != 0 && current_ <= v.processes.size() &&
+        v.processes[current_ - 1]->runnable()) {
+      --remaining_;
+      return {decision::kind::step, current_};
+    }
+    current_ =
+        v.runnable[static_cast<usize>(pick_.below(rng_, v.runnable.size()))];
+    remaining_ = quantum_ - 1;
+    return {decision::kind::step, current_};
+  }
   [[nodiscard]] const char* name() const override { return "block"; }
 
  private:
   xoshiro256 rng_;
+  bounded_draw pick_;  ///< runnable-size draws
   usize quantum_;
   process_id current_ = 0;
   usize remaining_ = 0;

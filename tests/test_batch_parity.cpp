@@ -3,11 +3,13 @@
 // produce per-replica run_reports bit-identical (exp::equivalent, which
 // includes every charged op count) to the scalar engine, for consecutive and
 // strided replica subsets alike; sweep aggregates must stay byte-identical
-// across pool sizes, batch widths, and shard counts with batching on. Also
-// pins the two arithmetic substitutions the lane kernel rides on: exact
-// Lemire modulo (util/fastdiv.hpp) against hardware %, and the SoA lane
-// FREE set (sets/lane_free_set.hpp) against bitset_rank_set including the
-// charge stream.
+// across pool sizes, batch widths, and shard counts with batching on. The
+// seeded blocks run exp::run's own KK driver and scheduler loop over the
+// concrete adversary and process types, so what this suite pins beyond
+// the shared code is the two substitutions they ride on: exact Lemire
+// modulo (util/fastdiv.hpp) against hardware %, and the SoA lane FREE set
+// (sets/lane_free_set.hpp) against bitset_rank_set including the charge
+// stream; plus the classifier's reading of make_adversary's types.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -186,6 +188,8 @@ TEST(BatchClassify, GateMatchesTheEngineContract) {
   EXPECT_EQ(cls(kk_cell("random+crash:3/0", 64, 3, 0, 4)),
             batch_class::not_batchable);
   EXPECT_EQ(cls(kk_cell("block:x", 64, 3, 0, 4)), batch_class::not_batchable);
+  EXPECT_EQ(cls(kk_cell("scripted:not a trace", 64, 3, 0, 4)),
+            batch_class::not_batchable);
   exp::run_spec traced = base;
   traced.record_trace = true;
   EXPECT_EQ(cls(traced), batch_class::not_batchable);

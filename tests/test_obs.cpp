@@ -303,6 +303,55 @@ TEST(ObsTraceRead, RejectsMalformedDocumentsWithAPosition) {
   EXPECT_NE(bad.error.find("at byte"), std::string::npos) << bad.error;
 }
 
+TEST(ObsTraceRead, DeepNestingIsAnErrorNotAStackOverflow) {
+  const usize depth = 3'000'000;
+  const std::string doc = "{\"traceEvents\":[{\"ph\":\"i\",\"args\":{\"a\":" +
+                          std::string(depth, '[') + std::string(depth, ']') +
+                          "}}]}";
+  const obs::trace_parse_result parsed = obs::parse_trace(doc);
+  EXPECT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.error.find("nested too deep"), std::string::npos)
+      << parsed.error;
+  EXPECT_NE(parsed.error.find("at byte"), std::string::npos) << parsed.error;
+
+  // Nesting within the cap still parses.
+  const std::string shallow = "{\"traceEvents\":[{\"ph\":\"i\",\"args\":{\"a\":" +
+                              std::string(200, '[') + std::string(200, ']') +
+                              "}}]}";
+  EXPECT_TRUE(obs::parse_trace(shallow).ok());
+}
+
+TEST(ObsTraceRead, IntegerFieldsMustBeIntegersInRange) {
+  const auto event_with = [](const std::string& field) {
+    return obs::parse_trace("{\"traceEvents\":[{\"ph\":\"i\"," + field + "}]}");
+  };
+  const auto dropped = [](const std::string& value) {
+    return obs::parse_trace(
+        "{\"traceEvents\":[],\"otherData\":{\"dropped_events\":" + value +
+        "}}");
+  };
+  for (const char* bad :
+       {"\"pid\":1e300", "\"pid\":2147483648", "\"tid\":-2147483649",
+        "\"pid\":1.5", "\"tid\":1e3", "\"pid\":\"1\""}) {
+    const obs::trace_parse_result r = event_with(bad);
+    EXPECT_FALSE(r.ok()) << bad;
+    EXPECT_NE(r.error.find("at byte"), std::string::npos) << r.error;
+  }
+  for (const char* bad : {"1e300", "-1", "0.5", "18446744073709551616"}) {
+    EXPECT_FALSE(dropped(bad).ok()) << bad;
+  }
+
+  const obs::trace_parse_result ok =
+      event_with("\"pid\":-7,\"tid\":2147483647");
+  ASSERT_TRUE(ok.ok()) << ok.error;
+  ASSERT_EQ(ok.events.size(), 1u);
+  EXPECT_EQ(ok.events[0].pid, -7);
+  EXPECT_EQ(ok.events[0].tid, 2147483647);
+  const obs::trace_parse_result most = dropped("18446744073709551615");
+  ASSERT_TRUE(most.ok()) << most.error;
+  EXPECT_EQ(most.dropped, ~std::uint64_t{0});
+}
+
 void expect_cancel_stops_batch(usize workers) {
   svc::worker_pool pool(workers);
   std::atomic<usize> done{0};

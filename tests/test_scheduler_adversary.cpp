@@ -1,5 +1,8 @@
 // Tests for the simulation engine itself: scheduler step/crash mechanics,
-// adversary behaviors, step limits, fairness of round-robin.
+// adversary behaviors, step limits, fairness of round-robin. The fail-closed
+// checks run through both instantiations of the one scheduler loop: the
+// type-erased one exp::run uses (automaton × sim::adversary) and the concrete
+// one the replica block uses (kk_process × a final adversary type).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,6 +11,8 @@
 #include <vector>
 
 #include "core/automaton.hpp"
+#include "core/kk_process.hpp"
+#include "mem/sim_memory.hpp"
 #include "sim/adversary.hpp"
 #include "sim/scheduler.hpp"
 
@@ -115,9 +120,11 @@ class fixed_pid_adversary final : public sim::adversary {
   sim::decision::kind what_;
 };
 
-/// Runs `adv` and returns the std::logic_error message ("" if none thrown).
-std::string run_error(sim::scheduler& sched, sim::adversary& adv,
-                      usize crash_budget) {
+/// Runs `adv` as an A — sim::adversary for the type-erased loop, a final
+/// class for the concrete one — and returns the std::logic_error message
+/// ("" if none thrown).
+template <class A, class P>
+std::string run_error(sim::scheduler<P>& sched, A& adv, usize crash_budget) {
   try {
     sched.run(adv, crash_budget, 100000);
   } catch (const std::logic_error& e) {
@@ -133,7 +140,7 @@ TEST(Scheduler, StepOnTerminatedProcessFailsClosed) {
   }
   sim::scheduler sched(handles(procs));
   fixed_pid_adversary adv(1, sim::decision::kind::step);
-  const std::string err = run_error(sched, adv, 0);
+  const std::string err = run_error<sim::adversary>(sched, adv, 0);
   EXPECT_NE(err.find("fixed_pid"), std::string::npos) << err;
   // Process 1 took its 5 steps; the 6th decision named it terminated and
   // was refused instead of stepping a finished automaton to the cap.
@@ -148,7 +155,7 @@ TEST(Scheduler, CrashOnCrashedProcessFailsClosed) {
   }
   sim::scheduler sched(handles(procs));
   fixed_pid_adversary adv(2, sim::decision::kind::crash);
-  const std::string err = run_error(sched, adv, 2);
+  const std::string err = run_error<sim::adversary>(sched, adv, 2);
   EXPECT_NE(err.find("fixed_pid"), std::string::npos) << err;
   // The first crash is honored; the second names an already-crashed
   // process and must not spend the remaining budget.
@@ -165,9 +172,96 @@ TEST(Scheduler, PidOutsideRangeFailsClosed) {
     }
     sim::scheduler sched(handles(procs));
     fixed_pid_adversary adv(bad, sim::decision::kind::step);
-    const std::string err = run_error(sched, adv, 0);
+    const std::string err = run_error<sim::adversary>(sched, adv, 0);
     EXPECT_NE(err.find("fixed_pid"), std::string::npos) << "pid " << bad;
     for (auto& p : procs) EXPECT_EQ(p->steps_, 0u);
+  }
+}
+
+/// m KK_beta processes over sim memory (n = 8, beta = m), driven by the
+/// concrete scheduler instantiation.
+struct kk_system {
+  using proc = kk_process<sim_memory>;
+
+  explicit kk_system(usize m) : mem(m, 8) {
+    for (process_id pid = 1; pid <= m; ++pid) {
+      kk_config cfg;
+      cfg.pid = pid;
+      cfg.num_processes = m;
+      procs.push_back(std::make_unique<proc>(mem, cfg, nullptr));
+    }
+  }
+
+  [[nodiscard]] sim::scheduler<proc> scheduler() {
+    std::vector<proc*> raw;
+    for (auto& p : procs) raw.push_back(p.get());
+    return sim::scheduler<proc>(std::move(raw));
+  }
+
+  sim_memory mem;
+  std::vector<std::unique_ptr<proc>> procs;
+};
+
+TEST(Scheduler, ConcreteStepOnTerminatedProcessFailsClosed) {
+  kk_system sys(3);
+  sim::scheduler<kk_system::proc> sched = sys.scheduler();
+  fixed_pid_adversary adv(1, sim::decision::kind::step);
+  const std::string err = run_error<fixed_pid_adversary>(sched, adv, 0);
+  EXPECT_NE(err.find("fixed_pid"), std::string::npos) << err;
+  // Process 1 ran solo to termination; the next decision named it and was
+  // refused instead of stepping a finished automaton.
+  EXPECT_EQ(sys.procs[0]->status(), kk_status::end);
+  EXPECT_GT(sys.procs[0]->step_count(), 0u);
+  EXPECT_EQ(sys.procs[1]->step_count(), 0u);
+  EXPECT_EQ(sys.procs[2]->step_count(), 0u);
+}
+
+TEST(Scheduler, ConcreteCrashOnCrashedProcessFailsClosed) {
+  kk_system sys(3);
+  sim::scheduler<kk_system::proc> sched = sys.scheduler();
+  fixed_pid_adversary adv(2, sim::decision::kind::crash);
+  const std::string err = run_error<fixed_pid_adversary>(sched, adv, 2);
+  EXPECT_NE(err.find("fixed_pid"), std::string::npos) << err;
+  EXPECT_EQ(sys.procs[1]->status(), kk_status::stop);
+  EXPECT_NE(sys.procs[0]->status(), kk_status::stop);
+  EXPECT_NE(sys.procs[2]->status(), kk_status::stop);
+  for (auto& p : sys.procs) EXPECT_EQ(p->step_count(), 0u);
+}
+
+TEST(Scheduler, ConcretePidOutsideRangeFailsClosed) {
+  for (const process_id bad : {process_id{0}, process_id{3}}) {
+    kk_system sys(2);
+    sim::scheduler<kk_system::proc> sched = sys.scheduler();
+    fixed_pid_adversary adv(bad, sim::decision::kind::step);
+    const std::string err = run_error<fixed_pid_adversary>(sched, adv, 0);
+    EXPECT_NE(err.find("fixed_pid"), std::string::npos) << "pid " << bad;
+    for (auto& p : sys.procs) EXPECT_EQ(p->step_count(), 0u);
+  }
+}
+
+TEST(Scheduler, ConcreteAdversaryStateCarriesAcrossRuns) {
+  // The concrete loop runs a copy of the adversary and writes it back, so
+  // two runs of 60 steps continue one decision stream: they must match one
+  // type-erased run of 120 steps, draw for draw.
+  for (const usize quantum : {usize{1}, usize{5}}) {
+    std::vector<std::unique_ptr<countdown>> split;
+    std::vector<std::unique_ptr<countdown>> whole;
+    for (process_id p = 1; p <= 4; ++p) {
+      split.push_back(std::make_unique<countdown>(p, 1000));
+      whole.push_back(std::make_unique<countdown>(p, 1000));
+    }
+    sim::scheduler split_sched(handles(split));
+    sim::block_adversary concrete(17, quantum);
+    split_sched.run(concrete, 0, 60);
+    split_sched.run(concrete, 0, 60);
+
+    sim::scheduler whole_sched(handles(whole));
+    sim::block_adversary reference(17, quantum);
+    whole_sched.run(static_cast<sim::adversary&>(reference), 0, 120);
+    for (usize i = 0; i < 4; ++i) {
+      EXPECT_EQ(split[i]->steps_, whole[i]->steps_)
+          << "quantum " << quantum << " pid " << i + 1;
+    }
   }
 }
 

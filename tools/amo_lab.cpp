@@ -181,6 +181,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -203,6 +204,7 @@
 #include "svc/server.hpp"
 #include "svc/worker_pool.hpp"
 #include "util/fileio.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -252,39 +254,45 @@ bool parse_kv(const char* arg, const char* key, const char** value) {
   return false;
 }
 
+/// Parses a count flag's value with the job-line grammar's checked parser
+/// (util/parse.hpp): a non-negative decimal that fits T, nothing else.
+template <class T>
+bool parse_count(const char* flag, const char* v, T& out) {
+  std::uint64_t x = 0;
+  if (!parse_u64(v, x) || x > std::numeric_limits<T>::max()) {
+    std::fprintf(stderr, "bad %s value '%s' (want a non-negative integer)\n",
+                 flag, v);
+    return false;
+  }
+  out = static_cast<T>(x);
+  return true;
+}
+
 bool parse_args(int argc, char** argv, int first, cli_options& opt) {
   for (int i = first; i < argc; ++i) {
     const char* a = argv[i];
     const char* v = nullptr;
-    if (parse_kv(a, "--n", &v)) {
-      opt.params.n = std::strtoull(v, nullptr, 10);
-    } else if (parse_kv(a, "--m", &v)) {
-      opt.params.m = std::strtoull(v, nullptr, 10);
-    } else if (parse_kv(a, "--beta", &v)) {
-      opt.params.beta = std::strtoull(v, nullptr, 10);
-    } else if (parse_kv(a, "--eps", &v)) {
-      opt.params.eps_inv = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-    } else if (parse_kv(a, "--seed", &v)) {
-      opt.params.seed = std::strtoull(v, nullptr, 10);
-    } else if (parse_kv(a, "--seeds", &v)) {
-      opt.params.seeds = std::strtoull(v, nullptr, 10);
-    } else if (parse_kv(a, "--replicas", &v)) {
-      opt.params.replicas = std::strtoull(v, nullptr, 10);
-    } else if (parse_kv(a, "--retries", &v)) {
-      opt.retries = std::strtoull(v, nullptr, 10);
-    } else if (parse_kv(a, "--pool", &v)) {
-      opt.pool = std::strtoull(v, nullptr, 10);
+    bool count_ok = true;
+    // Matches `a` against one count flag, parsing its value on a match.
+    const auto count = [&](const char* flag, auto& out) {
+      if (!parse_kv(a, flag, &v)) return false;
+      count_ok = parse_count(flag, v, out);
+      return true;
+    };
+    if (count("--n", opt.params.n) || count("--m", opt.params.m) ||
+        count("--beta", opt.params.beta) ||
+        count("--eps", opt.params.eps_inv) ||
+        count("--seed", opt.params.seed) ||
+        count("--seeds", opt.params.seeds) ||
+        count("--replicas", opt.params.replicas) ||
+        count("--retries", opt.retries) || count("--pool", opt.pool) ||
+        count("--shards", opt.shards)) {
+      if (!count_ok) return false;
     } else if (parse_kv(a, "--batch-replicas", &v)) {
       if (std::strcmp(v, "auto") == 0) {
         opt.batch = exp::batch_auto;
-      } else {
-        char* end = nullptr;
-        opt.batch = std::strtoull(v, &end, 10);
-        if (end == v || *end != '\0') {
-          std::fprintf(stderr,
-                       "bad batch width '%s' (want auto, 0, or a count)\n", v);
-          return false;
-        }
+      } else if (!parse_count("--batch-replicas", v, opt.batch)) {
+        return false;
       }
     } else if (parse_kv(a, "--shard", &v)) {
       if (!exp::parse_shard(v, opt.shard)) {
@@ -292,8 +300,6 @@ bool parse_args(int argc, char** argv, int first, cli_options& opt) {
         return false;
       }
       opt.have_shard = true;
-    } else if (parse_kv(a, "--shards", &v)) {
-      opt.shards = std::strtoull(v, nullptr, 10);
     } else if (parse_kv(a, "--tol", &v)) {
       char* end = nullptr;
       opt.tol = std::strtod(v, &end);
