@@ -58,8 +58,12 @@ double total_collision_bound(usize n, usize m) {
   return 4.0 * static_cast<double>(n + 1) * static_cast<double>(clamped_log2(m));
 }
 
-usize kk_min_jobs_at_quiescence(usize n, usize m, usize beta) {
-  return kk_effectiveness(n, m, beta);
+bool iterative_m_in_optimal_range(usize n, usize m, unsigned eps_inv) {
+  const double eps = 1.0 / static_cast<double>(eps_inv == 0 ? 1 : eps_inv);
+  const double limit = std::pow(static_cast<double>(n) /
+                                    static_cast<double>(clamped_log2(n)),
+                                1.0 / (3.0 + eps));
+  return static_cast<double>(m) <= limit;
 }
 
 }  // namespace amo::bounds

@@ -44,8 +44,10 @@ usize pair_collision_bound(usize n, usize m, usize dist);
 /// execution with beta >= 3m^2.
 double total_collision_bound(usize n, usize m);
 
-/// Lemma 4.2: no execution terminates with fewer than n-(beta+m-1)+1 =
-/// n-(beta+m-2) jobs performed... stated as the minimum jobs at quiescence.
-usize kk_min_jobs_at_quiescence(usize n, usize m, usize beta);
+/// Theorem 6.4's optimality range: m <= (n / lg n)^{1/(3+eps)} with
+/// eps = 1/eps_inv. Outside it the level sizes degenerate (super-job counts
+/// fall below beta = 3m^2), the pipeline passes everything to the final
+/// size-1 level and work regresses to plain KK_beta's.
+bool iterative_m_in_optimal_range(usize n, usize m, unsigned eps_inv);
 
 }  // namespace amo::bounds

@@ -2,7 +2,7 @@
 // jobs in groups of size n/m and assigning one group to each process."
 // No shared-memory coordination at all, hence trivially at-most-once; its
 // effectiveness collapses to (m - f) * (n / m) when f processes crash at
-// the start — the comparison line benches E1/E8 plot against KK_beta.
+// the start — the line bench_claims' c11.vs_trivial rows hold KK_beta above.
 #pragma once
 
 #include <functional>

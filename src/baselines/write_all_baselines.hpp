@@ -1,7 +1,8 @@
-// Write-All baselines for experiment E7 (bench_write_all): the comparison
-// set against WA_IterativeKK(eps).
+// Write-All baselines (the baseline/wa_* scenarios): the comparison set
+// against WA_IterativeKK(eps).
 //
-//   wa_trivial_process       every process writes every cell: work m*n,
+//   wa_trivial_process       every process writes every cell: m*n writes
+//                            (charged work 2mn, one action per write),
 //                            maximally fault-tolerant, maximally wasteful.
 //   wa_split_scan_process    write own n/m block, then scan the whole array
 //                            writing any still-zero cell: one surviving

@@ -130,7 +130,7 @@ std::vector<scenario> build_registry() {
       },
   });
 
-  // Baselines: the comparison set of experiments E7/E8 as sweepable
+  // Baselines: the Write-All and C11 comparison set as sweepable
   // scenarios, so a standard sweep exercises every executable claim.
   reg.push_back({
       "baseline/ao2",

@@ -52,9 +52,11 @@ enum class algo_family : std::uint8_t {
   /// [26]. Its full specification is not contained in the reproduced paper,
   /// and a from-scratch reinvention has subtle announce-staleness hazards
   /// that would risk benchmarking an unfaithful strawman. For m > 2 the
-  /// benches plot the effectiveness formula the paper quotes for [26] —
-  /// (n^{1/log m} - 1)^{log m} — clearly labeled "analytic"
-  /// (bounds::kkns_effectiveness). See DESIGN.md substitution #3.
+  /// effectiveness formula the paper quotes for [26] —
+  /// (n^{1/log m} - 1)^{log m} (bounds::kkns_effectiveness) — is used only
+  /// as an analytic bound (bench_claims' c11.vs_kkns rows), never as a
+  /// measurement. See README, "Substitutions and deviations": [26] only at
+  /// m = 2.
   ao2,
   tas,               ///< test-and-set executor (RMW, outside the model)
   wa_trivial,        ///< Write-All: everyone writes everything (m*n work)

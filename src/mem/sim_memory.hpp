@@ -6,7 +6,8 @@
 // linearization, which is precisely the model the paper analyzes (Section
 // 2.1: "all the asynchronous executions are linearizable").
 //
-// `done` rows grow on demand (DESIGN.md substitution #5): semantically
+// `done` rows grow on demand (README, "Substitutions and deviations":
+// growable done rows): semantically
 // identical to the paper's m x n matrix — cells are written once, in order,
 // and read only at indices at or below the writer's high-water mark — but
 // avoids O(m*n) allocation at large n.

@@ -6,8 +6,8 @@
 // Each entry also records *which* process announced the job (the value was
 // read from next_q). The announcer plays no role in the algorithm itself —
 // membership alone drives `check` — but it lets the analysis layer attribute
-// collisions to process pairs, which is how bench E5 validates the pairwise
-// collision bound of Lemma 5.5.
+// collisions to process pairs, which is how bench_claims' lem5.5.pair rows
+// gate the pairwise collision bound of Lemma 5.5.
 //
 // The set holds no universe-sized state: everything the algorithm asks of
 // TRY — membership, insert, the sorted entries the FREE \ TRY operators in

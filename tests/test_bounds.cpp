@@ -77,6 +77,21 @@ TEST(Bounds, IterativeWorkEnvelope) {
   EXPECT_DOUBLE_EQ(w, 65536.0 + 256.0 * 16.0);
 }
 
+TEST(Bounds, IterativeOptimalRange) {
+  // m <= (n / lg n)^{1/(3+eps)}: the cells bench_claims' work rows keep.
+  EXPECT_FALSE(bounds::iterative_m_in_optimal_range(16384, 8, 2));
+  EXPECT_TRUE(bounds::iterative_m_in_optimal_range(65536, 8, 2));
+  EXPECT_TRUE(bounds::iterative_m_in_optimal_range(16384, 4, 2));
+  EXPECT_FALSE(bounds::iterative_m_in_optimal_range(262144, 16, 2));
+  EXPECT_TRUE(bounds::iterative_m_in_optimal_range(1048576, 16, 2));
+  EXPECT_FALSE(bounds::iterative_m_in_optimal_range(131072, 16, 2));
+  EXPECT_TRUE(bounds::iterative_m_in_optimal_range(524288, 16, 2));
+  // A smaller eps (larger 1/eps) widens the range: (4096)^{1/4} = 8,
+  // (4096)^{1/(3+1/3)} ~ 12.1.
+  EXPECT_FALSE(bounds::iterative_m_in_optimal_range(65536, 10, 1));
+  EXPECT_TRUE(bounds::iterative_m_in_optimal_range(65536, 10, 3));
+}
+
 TEST(Bounds, PairCollisionBound) {
   EXPECT_EQ(bounds::pair_collision_bound(1000, 10, 1), 200u);
   EXPECT_EQ(bounds::pair_collision_bound(1000, 10, 5), 40u);

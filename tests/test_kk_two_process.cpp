@@ -179,8 +179,8 @@ TEST(KkTwoProcess, Ao2SweepsFromOppositeEnds) {
 
 TEST(KkTwoProcess, KkBeatsKknsFormulaAtScale) {
   // Headline C11 at m = 2... the formula collapses to n-1 there, equal to
-  // AO2; the real gap appears at larger m and is covered by
-  // bench_comparison. Here: KK_2's n-2 is within one job of AO2's n-1.
+  // AO2; the real gap appears at larger m and is gated by bench_claims'
+  // c11.vs_kkns rows. Here: KK_2's n-2 is within one job of AO2's n-1.
   exp::run_spec opt;
   opt.n = 300;
   opt.m = 2;
