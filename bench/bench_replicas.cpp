@@ -1,41 +1,40 @@
-// Batched replica kernel vs the scalar engine — the batching layer's
-// claim: a cell's R deterministic replicas share one spec decode and one
-// SoA lane arena, so advancing them as a block is cheaper than R scalar
-// runs while every charged op count stays bit-identical.
+// Replica throughput: each grid's engine path against the reference path its
+// floor was set against, with every charged op count bit-identical.
 //
-// The win is schedule-class dependent, so the grids are split by class
-// (scalar-fallback coverage lives in tests/test_batch_parity.cpp):
+// Two comparisons, split by schedule class:
 //
 //   repl/xR    n=256 m=3  — seed-independent adversaries (round_robin,
 //              stale_view, announce_crash): every replica's schedule is
-//              identical, so the block runs one lane and replicates the
-//              report R ways. Cost is ~1 unit for R, i.e. ~R x. This grid
-//              gates the >= 3x floor at R >= 8.
+//              identical, so the batched engine runs one pass and
+//              replicates the report R ways. Reference: the serial sweep
+//              with batching off (batch=0); engine: batch=auto. Cost is
+//              ~1 unit for R, i.e. ~R x. Gates the >= 3x floor at R >= 8.
+//   mix/xR     n=256 m=3  — all six classes through the same two sweeps,
+//              reported for context: the seeded half runs scalar on both
+//              sides, so the composition of a real grid decides where
+//              between 1x and R x it lands.
 //   seeded/xR  n=256 m=3  — seed-dependent adversaries (random,
-//              random+crash, block64): every replica runs its own lane,
-//              so the win is per-step only: the block runs the same
-//              scheduler loop and KK driver as the scalar engine, but
-//              instantiated over the concrete adversary and process
-//              types, so decide() and step() inline and the adversary's
-//              state stays in registers, and every replica's FREE sets
-//              come from one SoA lane arena. The automaton itself is
-//              shared cost, which caps this grid near 1.4x; the floor is
-//              >= 1.1x at R >= 8.
-//   mix/xR     n=256 m=3  — all six classes, reported for context: the
-//              composition of a real grid decides where between the two
-//              bounds it lands.
-//   bigm/xR    n=256 m=33 — wide-word seeded cells; gates the
-//              "batched >= scalar at m >= 32" floor.
+//              random+crash, block64): each replica is its own execution.
+//              exp::run binds these adversary types statically, so
+//              decide() and step() inline into the scheduler loop and the
+//              adversary's state stays in registers. Reference: the same
+//              units through exp::run with the adversary behind a
+//              forwarding sim::adversary decorator, which runs the same
+//              loop type-erased. Gates the >= 1.1x floor at R >= 8.
+//   bigm/xR    n=256 m=33 — wide-word seeded cells, same comparison as
+//              seeded; gates the ">= 1x at m >= 32" floor.
 //
-// Each row runs the same grid through the serial sweep path with batching
-// forced off (batch=0) and in auto, alternating the two kReps times, and
-// reports each side's best units/second figure, their ratio, and whether
-// the no-timing aggregate JSON is byte-identical between the two
-// (bit_identical gates in CI).
+// Each row alternates the reference and engine passes at least kReps times
+// and until the row has run for kMinRowSeconds, keeps each side's fastest,
+// and reports their units/second, the ratio, and whether the two sides
+// agree: the no-timing aggregate JSON byte for byte for the sweep rows,
+// exp::equivalent per unit (every charged op count included) for the
+// dispatch rows. bit_identical gates in CI.
+#include <memory>
 #include <thread>
 
 #include "bench_common.hpp"
-#include "exp/batch.hpp"
+#include "exp/engine.hpp"
 #include "exp/report.hpp"
 #include "exp/shard.hpp"
 #include "exp/sweep.hpp"
@@ -44,10 +43,13 @@ namespace {
 
 using namespace amo;
 
-/// Each rep times one scalar and one batched pass back to back, and each
+/// Each rep times one reference and one engine pass back to back, and each
 /// side keeps its fastest rep: a load spike on a shared box then hits both
-/// sides of a rep alike instead of one side's whole series.
+/// sides of a rep alike instead of one side's whole series. Short rows (a
+/// seeded x8 pass is ~1.5 ms) repeat until the row has run for
+/// kMinRowSeconds, so their fastest pass is as settled as a long row's.
 constexpr int kReps = 7;
+constexpr double kMinRowSeconds = 0.2;
 
 exp::run_spec cell(const char* label, const char* adv, std::uint64_t seed,
                    usize m, usize replicas) {
@@ -72,7 +74,7 @@ std::vector<exp::run_spec> repl_grid(usize replicas) {
   return cells;
 }
 
-/// Seed-dependent schedule classes: one lane per replica.
+/// Seed-dependent schedule classes: one execution per replica.
 std::vector<exp::run_spec> seeded_grid(usize replicas) {
   std::vector<exp::run_spec> cells;
   cells.push_back(cell("batch/random", "random", 7919, 3, replicas));
@@ -90,7 +92,7 @@ std::vector<exp::run_spec> mix_grid(usize replicas) {
 }
 
 /// Wide-word cells: m=33 puts every process set past the word-parallel
-/// threshold, the regime the SoA arena targets.
+/// threshold.
 std::vector<exp::run_spec> bigm_grid(usize replicas) {
   std::vector<exp::run_spec> cells;
   cells.push_back(cell("batch/bigm_random", "random", 7919, 33, replicas));
@@ -98,26 +100,63 @@ std::vector<exp::run_spec> bigm_grid(usize replicas) {
   return cells;
 }
 
-std::string aggregate_json(const exp::sweep_result& swept, std::uint64_t fp) {
-  exp::json_writer json;
-  exp::add_cell_records(json, swept, fp, /*include_timing=*/false);
-  return json.dump();
-}
+/// Forwards every decision to an inner adversary. The engine binds only
+/// the seeded adversaries' own types statically, so a run through this
+/// decorator takes the type-erased scheduler loop.
+class forwarding_adversary final : public sim::adversary {
+ public:
+  explicit forwarding_adversary(sim::adversary& inner) : inner_(inner) {}
+  sim::decision decide(const sim::sched_view& v) override {
+    return inner_.decide(v);
+  }
+  [[nodiscard]] const char* name() const override { return inner_.name(); }
 
-/// One side of the comparison: a serial sweep at a fixed batch width, and
-/// its fastest wall time so far.
+ private:
+  sim::adversary& inner_;
+};
+
+/// How one side of a row runs its grid.
+enum class path : std::uint8_t {
+  sweep_scalar,  ///< serial sweep, batching off
+  sweep_batched, ///< serial sweep, batch=auto
+  run_erased,    ///< each unit through exp::run behind forwarding_adversary
+  run_bound,     ///< each unit through plain exp::run
+};
+
+/// One side of the comparison and its fastest pass so far.
 struct timed_side {
-  explicit timed_side(usize width) : batch(width) {}
+  explicit timed_side(path p) : how(p) {}
 
-  usize batch;
+  path how;
   double best = 0.0;
-  exp::sweep_result result;
+  double spent = 0.0;        ///< wall time of every pass so far
+  exp::sweep_result result;  ///< reports of the fastest pass (cells: sweeps)
 
   void run(const std::vector<exp::run_spec>& cells) {
-    exp::sweep_options serial;
-    serial.pool_size = 1;
-    exp::sweep_result cur =
-        exp::sweep(cells, serial, exp::batch_options{batch});
+    exp::sweep_result cur;
+    if (how == path::sweep_scalar || how == path::sweep_batched) {
+      exp::sweep_options serial;
+      serial.pool_size = 1;
+      cur = exp::sweep(cells, serial,
+                       exp::batch_options{how == path::sweep_scalar
+                                              ? usize{0}
+                                              : exp::batch_auto});
+    } else {
+      stopwatch clock;
+      for (const exp::unit_ref& u : exp::shard_units(cells, {0, 1})) {
+        const exp::run_spec s = exp::replica_spec(cells[u.cell], u.replica);
+        if (how == path::run_bound) {
+          cur.reports.push_back(exp::run(s));
+        } else {
+          const std::unique_ptr<sim::adversary> inner =
+              exp::make_adversary(s.adversary);
+          forwarding_adversary erased(*inner);
+          cur.reports.push_back(exp::run(s, erased));
+        }
+      }
+      cur.wall_seconds = clock.seconds();
+    }
+    spent += cur.wall_seconds;
     if (result.reports.empty() || cur.wall_seconds < best) {
       best = cur.wall_seconds;
       result = std::move(cur);
@@ -125,32 +164,51 @@ struct timed_side {
   }
 };
 
+std::string aggregate_json(const exp::sweep_result& swept, std::uint64_t fp) {
+  exp::json_writer json;
+  exp::add_cell_records(json, swept, fp, /*include_timing=*/false);
+  return json.dump();
+}
+
+/// Unit-by-unit exp::equivalent. The seed and adversary name are identity,
+/// not outcome: a caller-owned adversary is echoed by its own name only.
+bool all_equivalent(const std::vector<exp::run_report>& a,
+                    const std::vector<exp::run_report>& b) {
+  if (a.size() != b.size()) return false;
+  for (usize i = 0; i < a.size(); ++i) {
+    if (!exp::equivalent(a[i], b[i])) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main() {
   stopwatch total;
   benchx::print_title(
-      "Batched replica kernel  (R lanes of one spec per engine pass)",
-      "claim: replicas of a cell share decode + SoA free words — a batched\n"
-      "pass beats R scalar runs; charged op counts stay bit-identical");
+      "Replica throughput  (engine path vs the reference path of each floor)",
+      "claim: batching seed-independent replicas and binding seeded\n"
+      "adversaries statically both beat their reference paths; charged op\n"
+      "counts stay bit-identical");
 
   const unsigned hc = std::thread::hardware_concurrency();
 
   benchx::json_report json;
-  text_table t({"grid", "replicas", "units", "scalar u/s", "batched u/s",
-                "speedup", "identical?"});
+  text_table t({"grid", "replicas", "units", "reference", "ref u/s",
+                "engine u/s", "speedup", "identical?"});
   bool all_identical = true;
   bool floors_ok = true;
 
   struct grid_def {
     const char* name;
     std::vector<exp::run_spec> (*make)(usize);
-    double floor;  ///< min speedup required at R >= 8; 0 = informational
+    bool dispatch;  ///< reference = type-erased exp::run, else batch=0 sweep
+    double floor;   ///< min speedup required at R >= 8; 0 = informational
   };
-  const grid_def grids[] = {{"repl", &repl_grid, 3.0},
-                            {"seeded", &seeded_grid, 1.1},
-                            {"mix", &mix_grid, 0.0},
-                            {"bigm", &bigm_grid, 1.0}};
+  const grid_def grids[] = {{"repl", &repl_grid, false, 3.0},
+                            {"seeded", &seeded_grid, true, 1.1},
+                            {"mix", &mix_grid, false, 0.0},
+                            {"bigm", &bigm_grid, true, 1.0}};
 
   for (const grid_def& g : grids) {
     for (const usize replicas : {usize{1}, usize{2}, usize{8}, usize{32},
@@ -159,66 +217,70 @@ int main() {
       const usize units = exp::unit_count(cells);
       const std::uint64_t fp = exp::grid_fingerprint(cells);
 
-      timed_side scalar_side{0};
-      timed_side batched_side{exp::batch_auto};
-      for (int rep = 0; rep < kReps; ++rep) {
-        scalar_side.run(cells);
-        batched_side.run(cells);
+      timed_side reference{g.dispatch ? path::run_erased : path::sweep_scalar};
+      timed_side engine{g.dispatch ? path::run_bound : path::sweep_batched};
+      for (int rep = 0;
+           rep < kReps || reference.spent + engine.spent < kMinRowSeconds;
+           ++rep) {
+        reference.run(cells);
+        engine.run(cells);
       }
-      const exp::sweep_result& scalar = scalar_side.result;
-      const exp::sweep_result& batched = batched_side.result;
-      const double scalar_wall = scalar_side.best;
-      const double batched_wall = batched_side.best;
 
       const bool identical =
-          aggregate_json(batched, fp) == aggregate_json(scalar, fp);
+          g.dispatch
+              ? all_equivalent(reference.result.reports, engine.result.reports)
+              : aggregate_json(engine.result, fp) ==
+                    aggregate_json(reference.result, fp);
       all_identical = all_identical && identical;
 
-      const double scalar_ups =
-          scalar_wall > 0 ? units / scalar_wall : 0.0;
-      const double batched_ups =
-          batched_wall > 0 ? units / batched_wall : 0.0;
+      const double reference_ups =
+          reference.best > 0 ? units / reference.best : 0.0;
+      const double engine_ups = engine.best > 0 ? units / engine.best : 0.0;
       const double speedup =
-          scalar_ups > 0 ? batched_ups / scalar_ups : 0.0;
-      // Floors bind once blocks are wide enough to amortise decode.
+          reference_ups > 0 ? engine_ups / reference_ups : 0.0;
+      // Floors bind at R >= 8, where replica blocks amortise their one
+      // scalar pass; the narrower rows are context.
       if (g.floor > 0.0 && replicas >= 8) {
         floors_ok = floors_ok && speedup >= g.floor;
       }
 
       usize duplicates = 0;
-      for (const exp::run_report& r : batched.reports) {
+      for (const exp::run_report& r : engine.result.reports) {
         duplicates += r.perform_events - r.effectiveness;
       }
 
-      t.add_row({g.name, fmt_count(replicas), fmt_count(units),
-                 fmt_count(static_cast<usize>(scalar_ups)),
-                 fmt_count(static_cast<usize>(batched_ups)),
+      const char* reference_name = g.dispatch ? "type_erased" : "batch=0";
+      t.add_row({g.name, fmt_count(replicas), fmt_count(units), reference_name,
+                 fmt_count(static_cast<usize>(reference_ups)),
+                 fmt_count(static_cast<usize>(engine_ups)),
                  fmt(speedup, 2) + "x", benchx::yesno(identical)});
 
       json.add(
           {{"experiment", benchx::json_report::str("E_batched_replicas")},
            {"scenario", benchx::json_report::str(std::string(g.name) + "/x" +
                                                  std::to_string(replicas))},
+           {"reference", benchx::json_report::str(reference_name)},
            {"replicas", benchx::json_report::num(std::uint64_t{replicas})},
            {"cells", benchx::json_report::num(std::uint64_t{cells.size()})},
            {"units", benchx::json_report::num(std::uint64_t{units})},
            {"hardware_concurrency",
             benchx::json_report::num(std::uint64_t{hc})},
            {"duplicates", benchx::json_report::num(std::uint64_t{duplicates})},
-           {"scalar_wall_seconds", benchx::json_report::num(scalar_wall)},
-           {"batched_wall_seconds", benchx::json_report::num(batched_wall)},
-           {"scalar_units_per_second", benchx::json_report::num(scalar_ups)},
-           {"batched_units_per_second", benchx::json_report::num(batched_ups)},
-           {"batched_speedup", benchx::json_report::num(speedup)},
+           {"reference_wall_seconds", benchx::json_report::num(reference.best)},
+           {"engine_wall_seconds", benchx::json_report::num(engine.best)},
+           {"reference_units_per_second",
+            benchx::json_report::num(reference_ups)},
+           {"engine_units_per_second", benchx::json_report::num(engine_ups)},
+           {"engine_speedup", benchx::json_report::num(speedup)},
            {"bit_identical", benchx::json_report::boolean(identical)}});
     }
   }
 
   benchx::print_table(t);
-  std::printf("\nserial sweeps (pool=1): speedup isolates the kernel, not "
-              "thread scheduling.\nrepl = run-once-replicate classes; "
-              "seeded = one lane per replica; mix = all six;\nbigm = m=33 "
-              "wide-word cells.\n");
+  std::printf("\nserial runs (pool=1): speedup isolates the engine path, not "
+              "thread scheduling.\nrepl = run-once-replicate classes; mix = "
+              "all six; seeded = static vs type-erased\ndispatch; bigm = the "
+              "same at m=33.\n");
 
   if (json.write("BENCH_replicas.json")) {
     std::printf("[%zu records -> BENCH_replicas.json]\n", json.size());

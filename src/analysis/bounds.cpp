@@ -1,6 +1,9 @@
 #include "analysis/bounds.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 
 #include "util/math.hpp"
 
@@ -17,11 +20,34 @@ usize trivial_effectiveness(usize n, usize m, usize f) {
   return (m - f) * (n / m);
 }
 
+namespace {
+
+/// x^e, or nullopt when it does not fit 64 bits.
+std::optional<std::uint64_t> checked_pow(std::uint64_t x, std::uint64_t e) {
+  std::uint64_t r = 1;
+  for (std::uint64_t i = 0; i < e; ++i) {
+    if (x != 0 && r > std::numeric_limits<std::uint64_t>::max() / x) {
+      return std::nullopt;
+    }
+    r *= x;
+  }
+  return r;
+}
+
+}  // namespace
+
 double kkns_effectiveness(usize n, usize m) {
-  const double h = static_cast<double>(clamped_log2(m));
-  const double per_level = std::pow(static_cast<double>(n), 1.0 / h);
+  const std::uint64_t h = clamped_log2(m);
+  const double per_level =
+      std::pow(static_cast<double>(n), 1.0 / static_cast<double>(h));
+  // pow's root is inexact (4096^(1/3) comes out below 16), so a perfect
+  // power is recognized by its rounded integer root and evaluated exactly.
+  const auto root = static_cast<std::uint64_t>(std::llround(per_level));
+  if (root >= 1 && checked_pow(root, h) == std::uint64_t{n}) {
+    return static_cast<double>(*checked_pow(root - 1, h));
+  }
   if (per_level <= 1.0) return 0.0;
-  return std::pow(per_level - 1.0, h);
+  return std::pow(per_level - 1.0, static_cast<double>(h));
 }
 
 double kk_work_envelope(usize n, usize m) {

@@ -69,14 +69,6 @@ class kk_process final : public automaton {
                    FS(static_cast<job_id>(mem.num_jobs()), input_jobs),
                    std::move(fn), std::move(hooks)) {}
 
-  /// Process adopting a pre-built FREE set over [1..mem.num_jobs()] — this is
-  /// how the batched replica engine hands each process a lane view of a
-  /// shared SoA arena (see sets/lane_free_set.hpp). The set must already
-  /// contain exactly the process's initial FREE jobs; set_counter is rebound
-  /// here, so accumulate no charged work through it beforehand.
-  kk_process(M& mem, const kk_config& cfg, FS free_set, perform_fn fn,
-             kk_hooks hooks = {});
-
   kk_process(const kk_process&) = delete;
   kk_process& operator=(const kk_process&) = delete;
 
@@ -113,6 +105,11 @@ class kk_process final : public automaton {
   }
 
  private:
+  /// The public constructors build the initial FREE set and delegate here;
+  /// set_counter is rebound to this process's tally.
+  kk_process(M& mem, const kk_config& cfg, FS free_set, perform_fn fn,
+             kk_hooks hooks);
+
   [[nodiscard]] op_counter& work() { return stats_.work; }
 
   /// Uncharged FREE membership probe of a job in [1..universe]. Word sets

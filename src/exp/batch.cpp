@@ -20,16 +20,12 @@ batch_class classify_batch(const run_spec& cell) {
   } else if (cell.algo != algo_family::kk) {
     return batch_class::not_batchable;
   }
-  // The strategy follows the type make_adversary builds, so the engine's
+  // The class follows the type make_adversary builds, so the engine's
   // grammar is the only one. Names it rejects (nullptr) and adversary types
-  // not listed here fall back to the scalar engine, which throws exactly as
-  // every scalar unit would.
+  // not listed here — the seeded ones included — run each replica through
+  // the scalar engine, which throws exactly as every scalar unit would.
   const std::unique_ptr<sim::adversary> adv = make_adversary(cell.adversary);
   const sim::adversary* a = adv.get();
-  if (dynamic_cast<const sim::random_adversary*>(a) != nullptr ||
-      dynamic_cast<const sim::block_adversary*>(a) != nullptr) {
-    return batch_class::lanes;
-  }
   // These schedules ignore the seed: every replica is the same execution.
   if (dynamic_cast<const sim::round_robin_adversary*>(a) != nullptr ||
       dynamic_cast<const sim::stale_view_adversary*>(a) != nullptr ||
@@ -44,22 +40,17 @@ batch_class classify_batch(const run_spec& cell) {
 std::vector<run_report> run_replica_block(const run_spec& cell,
                                           std::span<const usize> replicas) {
   assert(!replicas.empty());
-  const batch_class cls = classify_batch(cell);
-  assert(cls != batch_class::not_batchable);
-
-  if (cls == batch_class::replicate) {
-    // One scalar pass; replicas of a seed-independent schedule are the same
-    // execution, differing only in the echoed seed.
-    run_report base = run(replica_spec(cell, replicas.front()));
-    std::vector<run_report> out;
-    out.reserve(replicas.size());
-    for (const usize r : replicas) {
-      out.push_back(base);
-      out.back().seed = replica_seed(cell.adversary.seed, r);
-    }
-    return out;
+  assert(classify_batch(cell) == batch_class::replicate);
+  // One scalar pass; replicas of a seed-independent schedule are the same
+  // execution, differing only in the echoed seed.
+  const run_report base = run(replica_spec(cell, replicas.front()));
+  std::vector<run_report> out;
+  out.reserve(replicas.size());
+  for (const usize r : replicas) {
+    out.push_back(base);
+    out.back().seed = replica_seed(cell.adversary.seed, r);
   }
-  return detail::run_seeded_replicas(cell, replicas);
+  return out;
 }
 
 }  // namespace amo::exp

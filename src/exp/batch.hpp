@@ -1,32 +1,25 @@
 // exp::run_replica_block — the batched replica engine.
 //
 // A sweep cell is run_spec × R deterministic replicas; the scalar path runs
-// R independent engine passes that differ only in the adversary seed. This
-// engine runs a whole block of replicas of one cell as one task. Per-replica
-// reports — including every charged op count — are bit-identical to running
-// replica_spec(cell, r) through exp::run, which is what
-// tests/test_batch_parity.cpp pins down. docs/batched_kernel.md walks
-// through the layout, the charge accounting and the determinism argument.
+// R independent engine passes that differ only in the adversary seed. A
+// schedule that ignores its seed (round_robin, stale_view, announce_crash,
+// scripted:/replay:) makes every replica of a cell the *same* execution —
+// the only per-replica report field is the echoed seed. For such a cell
+// this engine runs one scalar pass and replicates the report, patching
+// rep.seed per replica: provably identical, R× cheaper. The per-replica
+// reports — including every charged op count — are bit-identical to
+// running replica_spec(cell, r) through exp::run, which is what
+// tests/test_batch_parity.cpp pins down; docs/batched_kernel.md gives the
+// argument.
 //
-// Two execution strategies, chosen from the type exp::make_adversary builds
-// for the cell:
-//
-//  - replicate: schedules that ignore their seed (round_robin, stale_view,
-//    announce_crash, scripted:/replay:) make every replica of a cell the
-//    *same* execution — the only per-replica report field is the echoed
-//    seed. The engine runs one scalar pass and replicates the report,
-//    patching rep.seed per replica. Provably identical, R× cheaper.
-//  - lanes: seeded schedules (random_adversary: random, random+crash[:n/d];
-//    block_adversary: block4/64, block:q) run each replica through
-//    exp::run's own KK driver and sim::scheduler loop, instantiated over the
-//    concrete adversary and process types so decide() and step() inline,
-//    with every replica's FREE sets drawn from one lane-major SoA arena
-//    (sets/lane_free_set.hpp) allocated and initialized once per block.
-//
-// Anything else — adversaries make_adversary rejects, trace recording,
-// non-sim memory, non-bitset free sets, the iterative/baseline families — is
-// not batchable; callers fall back to the scalar engine (exp/sweep.cpp does
-// this per cell), which preserves the scalar path's exact throw behavior.
+// Seeded schedules (random, random+crash[:n/d], block4/64, block:q) gain
+// nothing from a block: each replica is its own execution, and exp::run
+// already binds their adversary types statically. They, and anything else —
+// adversaries make_adversary rejects, trace recording, non-sim memory,
+// non-bitset free sets, the iterative/baseline families — are not
+// batchable; callers run each replica through the scalar engine
+// (exp/sweep.cpp does this per cell), which preserves its exact throw
+// behavior.
 #pragma once
 
 #include <span>
@@ -43,7 +36,7 @@ inline constexpr usize batch_auto = ~usize{0};
 /// Execution option — NOT part of run_spec: batching never changes results,
 /// so it does not participate in spec identity, grid fingerprints, or
 /// record formats. 0 disables batching (scalar reference path), N caps the
-/// lane width at N (blocks split into chunks of at most N replicas).
+/// block width at N (blocks split into chunks of at most N replicas).
 struct batch_options {
   usize batch_replicas = batch_auto;
 };
@@ -52,13 +45,12 @@ struct batch_options {
 enum class batch_class : std::uint8_t {
   not_batchable,  ///< run each replica through the scalar engine
   replicate,      ///< seed-independent schedule: run once, replicate report
-  lanes,          ///< seeded schedule: one arena-backed lane per replica
 };
 
 /// Classifies a cell for the batched engine. Fails closed: only kk/ao2 ×
 /// scheduled × sim × bitset specs without trace recording, whose adversary
-/// make_adversary builds as one of the listed types, are batchable;
-/// everything else falls back to the scalar engine.
+/// make_adversary builds as one of the seed-independent types, are
+/// batchable; everything else falls back to the scalar engine.
 [[nodiscard]] batch_class classify_batch(const run_spec& cell);
 
 [[nodiscard]] inline bool batchable(const run_spec& cell) {

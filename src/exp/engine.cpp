@@ -18,7 +18,6 @@
 #include "model/dpor.hpp"
 #include "model/explorer.hpp"
 #include "sets/fenwick_rank_set.hpp"
-#include "sets/lane_free_set.hpp"
 #include "sets/ostree.hpp"
 #include "sim/scheduler.hpp"
 #include "util/math.hpp"
@@ -145,9 +144,9 @@ void drive_threads(std::vector<std::unique_ptr<Proc>>& procs,
 }
 
 /// Runs the processes under the scheduled driver and records the liveness
-/// outcome. A type-erased adversary (exp::run's path) drives them as
-/// automata; a concrete one (the replica block's path) drives the concrete
-/// process type, so decide() and step() inline into the scheduler loop.
+/// outcome. A type-erased adversary drives them as automata; a concrete one
+/// (see run_kk_sim_bitset) drives the concrete process type, so decide()
+/// and step() inline into the scheduler loop.
 template <class Proc, class Adv>
 void drive_scheduled(run_report& rep,
                      const std::vector<std::unique_ptr<Proc>>& procs, Adv& adv,
@@ -197,19 +196,10 @@ void harvest_automata(run_report& rep,
   rep.crashes = crashed;
 }
 
-/// The FREE-set source of exp::run: every process starts from the full
-/// universe. The replica block hands out lanes of one SoA arena instead.
-template <rank_set FS>
-struct full_free_sets {
-  FS operator()(process_id /*pid*/, job_id universe) const {
-    return FS::full(universe);
-  }
-};
-
-template <class M, rank_set FS, class FreeSets>
+template <class M, rank_set FS>
 std::vector<std::unique_ptr<kk_process<M, FS>>> build_kk_procs(
     M& mem, const run_spec& s, amo_checker& checker, collision_ledger* ledger,
-    const run_hooks* hooks, const FreeSets& free_sets) {
+    const run_hooks* hooks) {
   std::vector<std::unique_ptr<kk_process<M, FS>>> procs;
   procs.reserve(s.m);
   for (process_id pid = 1; pid <= s.m; ++pid) {
@@ -230,25 +220,23 @@ std::vector<std::unique_ptr<kk_process<M, FS>>> build_kk_procs(
         ledger->record(p, j, announcer, via_done, checker);
       };
     }
-    procs.push_back(std::make_unique<kk_process<M, FS>>(
-        mem, cfg, free_sets(pid, static_cast<job_id>(s.n)), nullptr,
-        std::move(kh)));
+    procs.push_back(
+        std::make_unique<kk_process<M, FS>>(mem, cfg, nullptr, std::move(kh)));
   }
   return procs;
 }
 
-template <class M, rank_set FS, class Adv = sim::adversary,
-          class FreeSets = full_free_sets<FS>>
+template <class M, rank_set FS, class Adv = sim::adversary>
 void run_kk_impl(const run_spec& s, Adv* adv, const run_hooks* hooks,
-                 run_report& rep, const FreeSets& free_sets = {}) {
+                 run_report& rep) {
   M mem(s.m, s.n);
   amo_checker checker(s.n);
   // The collision ledger is scheduled-driver only: it is not thread-safe,
   // and under real threads the interleaving is not reproducible anyway.
   const bool want_ledger = s.driver == driver_kind::scheduled;
   collision_ledger ledger(want_ledger ? s.m : 1, want_ledger ? s.n : 1);
-  auto procs = build_kk_procs<M, FS>(
-      mem, s, checker, want_ledger ? &ledger : nullptr, hooks, free_sets);
+  auto procs = build_kk_procs<M, FS>(mem, s, checker,
+                                     want_ledger ? &ledger : nullptr, hooks);
 
   stopwatch clock;
   drive_spec(rep, procs, s, adv);
@@ -260,6 +248,22 @@ void run_kk_impl(const run_spec& s, Adv* adv, const run_hooks* hooks,
     rep.total_steps = rep.total_work.actions;
   }
   if (want_ledger) rep.worst_pair_ratio = ledger.worst_pair_ratio();
+}
+
+/// KK over sim_memory with bitset FREE sets, the seeded-sweep workhorse.
+/// The seeded adversary types bind once per run to their concrete final
+/// type, so the scheduler loop inlines decide() and step(); every other
+/// adversary — decorators, trace recorders, the seed-independent schedules —
+/// runs the same loop type-erased.
+void run_kk_sim_bitset(const run_spec& s, sim::adversary* adv,
+                       const run_hooks* hooks, run_report& rep) {
+  if (auto* r = dynamic_cast<sim::random_adversary*>(adv)) {
+    run_kk_impl<sim_memory, bitset_rank_set>(s, r, hooks, rep);
+  } else if (auto* b = dynamic_cast<sim::block_adversary*>(adv)) {
+    run_kk_impl<sim_memory, bitset_rank_set>(s, b, hooks, rep);
+  } else {
+    run_kk_impl<sim_memory, bitset_rank_set>(s, adv, hooks, rep);
+  }
 }
 
 template <class M>
@@ -494,7 +498,7 @@ run_report run_impl(run_spec s, sim::adversary* adv, const run_hooks* hooks,
       if (s.memory == memory_kind::sim) {
         switch (s.free_set) {
           case free_set_kind::bitset:
-            run_kk_impl<sim_memory, bitset_rank_set>(s, adv, hooks, rep);
+            run_kk_sim_bitset(s, adv, hooks, rep);
             break;
           case free_set_kind::fenwick:
             run_kk_impl<sim_memory, fenwick_rank_set>(s, adv, hooks, rep);
@@ -536,51 +540,7 @@ run_report run_impl(run_spec s, sim::adversary* adv, const run_hooks* hooks,
   return rep;
 }
 
-/// One replica of a seeded cell on the replica block's path: the concrete
-/// adversary and process types instantiate the scheduler loop with decide()
-/// and step() inlined, and the processes' FREE sets are lane `lane`'s m
-/// rows of the block's arena.
-template <class Adv>
-void run_replica_lane(const run_spec& s, Adv& adv, lane_free_arena& arena,
-                      usize lane, run_report& rep) {
-  const usize first_row = lane * s.m;
-  run_kk_impl<sim_memory, lane_free_set>(
-      s, &adv, nullptr, rep, [&arena, first_row](process_id pid, job_id) {
-        return arena.view(first_row + pid - 1);
-      });
-}
-
 }  // namespace
-
-namespace detail {
-
-std::vector<run_report> run_seeded_replicas(const run_spec& cell,
-                                            std::span<const usize> replicas) {
-  // Replica l's process p owns arena row l*m + p-1, so the whole block's
-  // FREE sets come from one allocation initialized in one pass.
-  lane_free_arena arena(static_cast<job_id>(cell.n), replicas.size() * cell.m);
-  std::vector<run_report> out;
-  out.reserve(replicas.size());
-  for (usize lane = 0; lane < replicas.size(); ++lane) {
-    run_spec s = replica_spec(cell, replicas[lane]);
-    normalize_ao2(s);
-    run_report rep;
-    echo_spec(rep, s);
-    echo_adversary(rep, s.adversary);
-    const std::unique_ptr<sim::adversary> adv = make_adversary(s.adversary);
-    if (auto* r = dynamic_cast<sim::random_adversary*>(adv.get())) {
-      run_replica_lane(s, *r, arena, lane, rep);
-    } else if (auto* b = dynamic_cast<sim::block_adversary*>(adv.get())) {
-      run_replica_lane(s, *b, arena, lane, rep);
-    } else {
-      bad_spec("adversary '" + s.adversary.name + "' has no seeded lane type");
-    }
-    out.push_back(std::move(rep));
-  }
-  return out;
-}
-
-}  // namespace detail
 
 std::unique_ptr<sim::adversary> make_adversary(const adversary_spec& spec) {
   const std::string& name = spec.name;

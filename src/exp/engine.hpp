@@ -11,12 +11,18 @@
 // is seeded); setting spec.record_trace additionally captures the decision
 // trace, and replay() re-executes it through a replay adversary —
 // equivalent(original, replayed) must hold.
+//
+// Scheduled runs go through the one loop, sim::scheduler<P>::run<A>, in two
+// instantiations. KK over sim_memory with bitset FREE sets whose adversary
+// is a sim::random_adversary or sim::block_adversary (the seeded
+// schedules) binds both types statically, so decide() and step() inline;
+// everything else — decorators such as a timing or recording wrapper, the
+// seed-independent schedules, the other families — runs it over automaton
+// and the virtual sim::adversary. Both produce the same reports.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <span>
-#include <vector>
 
 #include "exp/spec.hpp"
 #include "sim/adversary.hpp"
@@ -64,17 +70,5 @@ run_report replay(const run_spec& spec, const sim::trace& t);
 /// frontier issues its own run_indexed batches). Throws std::invalid_argument
 /// for any other algo family.
 run_report run_por(const run_spec& spec, svc::worker_pool& pool);
-
-namespace detail {
-
-/// The `lanes` strategy of exp::run_replica_block (exp/batch.hpp), which is
-/// its only caller: runs each listed replica of a cell whose adversary is a
-/// sim::random_adversary or sim::block_adversary through exp::run's KK
-/// driver, instantiated over those concrete types, with every process's
-/// FREE set a lane of one SoA arena (sets/lane_free_set.hpp).
-std::vector<run_report> run_seeded_replicas(const run_spec& cell,
-                                            std::span<const usize> replicas);
-
-}  // namespace detail
 
 }  // namespace amo::exp

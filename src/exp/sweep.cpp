@@ -29,10 +29,18 @@ std::vector<unit_task> plan_unit_tasks(const std::vector<run_spec>& cells,
   std::vector<unit_task> tasks;
   tasks.reserve(units.size());
   const usize width = batch.batch_replicas;
+  // Units are cell-major, so classifying only when the cell changes builds
+  // one probe adversary per cell rather than one per replica.
+  usize classified = cells.size();
+  bool cell_batchable = false;
   usize i = 0;
   while (i < units.size()) {
     usize j = i + 1;
-    if (width > 1 && batchable(cells[units[i].cell])) {
+    if (width > 1 && units[i].cell != classified) {
+      classified = units[i].cell;
+      cell_batchable = batchable(cells[classified]);
+    }
+    if (width > 1 && cell_batchable) {
       while (j < units.size() && units[j].cell == units[i].cell &&
              j - i < width) {
         ++j;

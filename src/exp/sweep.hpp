@@ -96,7 +96,7 @@ unit_run_result run_units(const std::vector<run_spec>& cells,
 /// same batchable cell (consecutive same-cell units are adjacent in every
 /// shard_units output — slices are strided ascending over the cell-major
 /// unit space) are grouped into replica blocks of at most
-/// batch.batch_replicas lanes and executed by exp::run_replica_block as one
+/// batch.batch_replicas replicas and executed by exp::run_replica_block as one
 /// pool task; everything else runs scalar. Reports are bit-identical to the
 /// scalar path at any width, so the sharded merge contract is unaffected.
 unit_run_result run_units(const std::vector<run_spec>& cells,

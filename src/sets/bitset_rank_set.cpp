@@ -41,13 +41,15 @@ bitset_rank_set::bitset_rank_set(job_id universe)
     : universe_(universe),
       num_words_((static_cast<usize>(universe) + 63) / 64),
       log_floor_(num_words_ == 0 ? 0 : ilog2(num_words_)),
-      bits_(num_words_, 0),
-      wcum_(windows(num_words_, fanout) * fanout, 0),
-      sbcum_(windows(windows(num_words_, fanout), fanout) * fanout, 0),
-      gcum_(windows(windows(windows(num_words_, fanout), fanout), fanout) *
-                fanout,
-            0),
-      sgcum_(windows(windows(windows(num_words_, fanout), fanout), fanout), 0) {
+      bits_(num_words_, 0) {
+  if (flat()) return;  // one superblock: popcount scans replace the directory
+  const usize num_sbs = windows(num_words_, fanout);
+  const usize num_groups = windows(num_sbs, fanout);
+  const usize num_supers = windows(num_groups, fanout);
+  wcum_.assign(num_sbs * fanout, 0);
+  sbcum_.assign(num_groups * fanout, 0);
+  gcum_.assign(num_supers * fanout, 0);
+  sgcum_.assign(num_supers, 0);
   rebuild_counts();  // establishes the padding bases
 }
 
@@ -78,6 +80,7 @@ void bitset_rank_set::rebuild_counts() {
   // (indices past the last real word/superblock/group of a window) receive
   // pad + (window total so far), which the masked suffix updates in
   // apply_delta keep consistent forever after.
+  if (flat()) return;
   const usize num_sbs = windows(num_words_, fanout);
   const usize num_groups = windows(num_sbs, fanout);
   const usize num_supers = windows(num_groups, fanout);
@@ -141,6 +144,7 @@ void bitset_rank_set::rebuild_counts() {
 }
 
 void bitset_rank_set::apply_delta(usize w, bool add) {
+  if (flat()) return;  // no directory to maintain
   // Masked suffix add within each fixed 16-entry window: branch-free, and
   // the compiler turns each loop into a couple of vector ops.
   const usize sb = w / fanout;
@@ -167,40 +171,25 @@ void bitset_rank_set::apply_delta(usize w, bool add) {
   for (usize i = sg; i < sgcum_.size(); ++i) sgcum_[i] += d64;
 }
 
-bool bitset_rank_set::contains(job_id x) const {
-  charge();
-  if (x < 1 || x > universe_) return false;
-  return (bits_[(x - 1) / 64] >> ((x - 1) % 64)) & 1u;
-}
-
-bool bitset_rank_set::insert(job_id x) {
-  assert(x >= 1 && x <= universe_);
-  const usize w = (x - 1) / 64;
-  const std::uint64_t mask = std::uint64_t{1} << ((x - 1) % 64);
-  if ((bits_[w] & mask) != 0) return false;
-  bits_[w] |= mask;
-  apply_delta(w, true);
-  charge_units(bits::fenwick_update_hops(w, num_words_));  // reference cost
-  ++count_;
-  return true;
-}
-
-bool bitset_rank_set::erase(job_id x) {
-  if (x < 1 || x > universe_) return false;
-  const usize w = (x - 1) / 64;
-  const std::uint64_t mask = std::uint64_t{1} << ((x - 1) % 64);
-  if ((bits_[w] & mask) == 0) return false;
-  bits_[w] &= ~mask;
-  apply_delta(w, false);
-  charge_units(bits::fenwick_update_hops(w, num_words_));  // reference cost
-  --count_;
-  return true;
-}
-
 job_id bitset_rank_set::select(usize k) const {
   assert(k >= 1 && k <= count_);
   // Reference cost: one unit per Fenwick descent level, charged in bulk.
   charge_units(log_floor_ + 1);
+  if (flat()) {
+    // At most 16 words: find the word by popcounts, no directory to read.
+    usize rem = k;
+    usize w = 0;
+    while (true) {
+      const auto pc = static_cast<usize>(std::popcount(bits_[w]));
+      if (rem <= pc) break;
+      rem -= pc;
+      ++w;
+    }
+    charge_units(rem - 1);
+    const unsigned bit =
+        bits::select_in_word(bits_[w], static_cast<unsigned>(rem));
+    return static_cast<job_id>(w * 64 + bit + 1);
+  }
   // Branchless descent: at each level, the child index is the count of
   // window entries whose cumulative popcount is < rem (fixed 16-wide
   // compare-and-count; padding entries sit above pad16/pad32 and are never
@@ -250,14 +239,21 @@ usize bitset_rank_set::rank_le(job_id x) const {
   // Reference cost: popcount(w) Fenwick prefix hops plus the final in-word
   // popcount, charged in bulk.
   charge_units(static_cast<usize>(std::popcount(w)) + 1);
-  // Cumulative counters make the prefix sum four O(1) lookups.
-  const usize sb = w / fanout;
-  const usize g = sb / fanout;
-  const usize sg = g / fanout;
-  usize r = sg > 0 ? static_cast<usize>(sgcum_[sg - 1]) : 0;
-  r += g > sg * fanout ? static_cast<usize>(gcum_[g - 1]) : 0;
-  r += sb > g * fanout ? static_cast<usize>(sbcum_[sb - 1]) : 0;
-  r += w > sb * fanout ? static_cast<usize>(wcum_[w - 1]) : 0;
+  usize r = 0;
+  if (flat()) {
+    for (usize i = 0; i < w; ++i) {
+      r += static_cast<usize>(std::popcount(bits_[i]));
+    }
+  } else {
+    // Cumulative counters make the prefix sum four O(1) lookups.
+    const usize sb = w / fanout;
+    const usize g = sb / fanout;
+    const usize sg = g / fanout;
+    r += sg > 0 ? static_cast<usize>(sgcum_[sg - 1]) : 0;
+    r += g > sg * fanout ? static_cast<usize>(gcum_[g - 1]) : 0;
+    r += sb > g * fanout ? static_cast<usize>(sbcum_[sb - 1]) : 0;
+    r += w > sb * fanout ? static_cast<usize>(wcum_[w - 1]) : 0;
+  }
   const usize bit = (x - 1) % 64;
   const std::uint64_t mask =
       bit == 63 ? ~std::uint64_t{0} : ((std::uint64_t{1} << (bit + 1)) - 1);

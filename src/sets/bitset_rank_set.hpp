@@ -1,18 +1,25 @@
-// Compact order-statistic set: a bitmap of the universe plus a four-level
-// hierarchy of popcount counters (per-word bytes, then 16-word, 256-word
-// and 4096-word directories).
+// Compact order-statistic set: a bitmap of the universe plus, once the
+// universe outgrows one superblock, a four-level hierarchy of popcount
+// counters (per-word bytes, then 16-word, 256-word and 4096-word
+// directories).
 //
-// This is the default FREE-set representation in libamo: ~0.15 bytes per
-// universe element (vs ~5 for fenwick_rank_set and ~16 for ostree), which
-// matters because every one of the m processes keeps its own FREE view of
-// all n jobs. select/rank run as cache-resident counter scans — the group
-// and superblock directories are a few hundred bytes, the per-word byte
-// counters stream sequentially — followed by a single bitmap load and a
-// branch-free in-word select (PDEP on BMI2 hardware, broadword otherwise;
-// see word_ops.hpp). Updates touch one word plus three fixed-width counter
-// windows, plus a top-level cumulative suffix of length U/2^18 — O(1) for
-// any universe the system targets (16 adds at n = 2^22), O(U/262144)
-// asymptotically.
+// This is the FREE-set representation of every KK run in libamo: ~0.15
+// bytes per universe element (vs ~5 for fenwick_rank_set and ~16 for
+// ostree), which matters because every one of the m processes keeps its own
+// FREE view of all n jobs. select/rank run as cache-resident counter scans —
+// the group and superblock directories are a few hundred bytes, the
+// per-word byte counters stream sequentially — followed by a single bitmap
+// load and a branch-free in-word select (PDEP on BMI2 hardware, broadword
+// otherwise; see word_ops.hpp). Updates touch one word plus three
+// fixed-width counter windows, plus a top-level cumulative suffix of length
+// U/2^18 — O(1) for any universe the system targets (16 adds at n = 2^22),
+// O(U/262144) asymptotically.
+//
+// Directory depth follows the universe. A universe of at most one
+// superblock (num_words <= fanout = 16 words, i.e. <= 1024 jobs) keeps only
+// the bitmap and the cardinality: an update flips one bit, and select/rank
+// scan at most 16 words by popcount — the directory would cost more to
+// maintain than it saves. Larger universes keep the full directory.
 //
 // Charged work follows the paper's cost model, not the instruction count:
 // the structure charges exactly what the reference implementation (a Fenwick
@@ -23,10 +30,12 @@
 // are bit-identical to that reference; only the wall-clock differs.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "sets/word_ops.hpp"
 #include "util/op_counter.hpp"
 #include "util/types.hpp"
 
@@ -44,9 +53,38 @@ class bitset_rank_set {
   [[nodiscard]] usize size() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
 
-  [[nodiscard]] bool contains(job_id x) const;
-  bool insert(job_id x);
-  bool erase(job_id x);
+  // contains/insert/erase are the per-step FREE updates of every KK
+  // process, so they are defined here where the caller can inline them.
+  [[nodiscard]] bool contains(job_id x) const {
+    charge();
+    if (x < 1 || x > universe_) return false;
+    return (bits_[(x - 1) / 64] >> ((x - 1) % 64)) & 1u;
+  }
+
+  bool insert(job_id x) {
+    assert(x >= 1 && x <= universe_);
+    const usize w = (x - 1) / 64;
+    const std::uint64_t mask = std::uint64_t{1} << ((x - 1) % 64);
+    if ((bits_[w] & mask) != 0) return false;
+    bits_[w] |= mask;
+    apply_delta(w, true);
+    charge_units(bits::fenwick_update_hops(w, num_words_));  // reference cost
+    ++count_;
+    return true;
+  }
+
+  bool erase(job_id x) {
+    if (x < 1 || x > universe_) return false;
+    const usize w = (x - 1) / 64;
+    const std::uint64_t mask = std::uint64_t{1} << ((x - 1) % 64);
+    if ((bits_[w] & mask) == 0) return false;
+    bits_[w] &= ~mask;
+    apply_delta(w, false);
+    charge_units(bits::fenwick_update_hops(w, num_words_));  // reference cost
+    --count_;
+    return true;
+  }
+
   [[nodiscard]] job_id select(usize k) const;
   [[nodiscard]] usize rank_le(job_id x) const;
   [[nodiscard]] std::vector<job_id> to_vector() const;
@@ -96,12 +134,17 @@ class bitset_rank_set {
     if (oc_ != nullptr) ++oc_->local_ops;
   }
 
-  /// Single-pass rebuild of the cumulative counters from bits_; asserts the
-  /// counter total matches count_ in debug builds.
+  /// True when the universe fits one superblock: no directory is kept.
+  [[nodiscard]] bool flat() const { return num_words_ <= words_per_sb; }
+
+  /// Single-pass rebuild of the cumulative counters from bits_ (none when
+  /// flat); asserts the counter total matches count_ in debug builds.
   void rebuild_counts();
 
   /// Applies +1/-1 at word w to all four counter levels (masked fixed-width
-  /// suffix updates within each window).
+  /// suffix updates within each window); a no-op when flat(). The check
+  /// sits here, out of line, rather than in the inlined insert/erase: a
+  /// branch there cost kk_solo about 2% of its steps/s.
   void apply_delta(usize w, bool add);
 
   job_id universe_;
@@ -109,6 +152,7 @@ class bitset_rank_set {
   usize num_words_;
   std::uint32_t log_floor_;            // floor(log2(num_words)), charge model
   std::vector<std::uint64_t> bits_;    // bit (x-1) set <=> x in set
+  // The directory; all four are empty when flat().
   std::vector<std::uint16_t> wcum_;    // per word: cumulative pc within superblock
   std::vector<std::uint32_t> sbcum_;   // per superblock: cumulative within group
   std::vector<std::uint32_t> gcum_;    // per group: cumulative within supergroup

@@ -13,11 +13,10 @@
 // discovered exclusions, so there are at most |SET2|+1 iterations.
 //
 // Word-parallel engine: when SET1 exposes its bitmap words (word_rank_set,
-// i.e. bitset_rank_set and lane_free_set) and TRY is large enough, the
-// c(x) and |SET1 \ SET2| queries run as one pass over TRY's sorted entries
-// that merges same-word bits into one mask and ANDs it against the SET1
-// word — AND + popcount per distinct word instead of per-entry contains()
-// probes. The charged operation counts are kept bit-identical to the probe
+// i.e. bitset_rank_set) and TRY is large enough, the c(x) and
+// |SET1 \ SET2| queries run as one pass over TRY's sorted entries that
+// merges same-word bits into one mask and ANDs it against the SET1 word —
+// AND + popcount per distinct word instead of per-entry contains() probes. The charged operation counts are kept bit-identical to the probe
 // path (the cost model is semantic); only the instruction count changes.
 #pragma once
 

@@ -13,6 +13,9 @@
 // Neither path charges the op_counter: callers account the paper's semantic
 // cost (the clear-lowest-bit walk this replaces) arithmetically, so charged
 // work is identical to the reference implementation while wall-clock is not.
+// fenwick_update_hops is that arithmetic for updates: the reference Fenwick
+// chain length in closed form, which bitset_rank_set charges per insert and
+// erase.
 #pragma once
 
 #include <array>
@@ -104,13 +107,9 @@ inline unsigned select_in_word(std::uint64_t x, unsigned k) {
   return select_in_word_portable(x, k);
 }
 
-// ----- charge-model arithmetic and lane-plane (SoA) kernels -----------------
-// Shared by bitset_rank_set (one lane) and lane_free_set (R replica lanes of
-// the batched engine, words laid out lane-major as words[lane * num_words + w]
-// so each lane's bitmap is one contiguous row of the arena plane). Everything
-// here is portable scalar code — no ISA assumption beyond the <bit> ops —
-// because the batched kernel must run identically on the AMO_ENABLE_SIMD=OFF
-// build.
+// ----- charge-model arithmetic --------------------------------------------
+// Portable scalar code — no ISA assumption beyond the <bit> ops — so the
+// charged op counts are the same on the AMO_ENABLE_SIMD=OFF build.
 
 /// Length of the reference Fenwick update chain from word w of a
 /// num_words-word array: i = w+1, then i += lowbit(i) while i <= N. This is
@@ -131,19 +130,6 @@ inline usize fenwick_update_hops(usize w, usize num_words) {
   const std::uint64_t range = (~std::uint64_t{0} >> (64 - hi)) &
                               (~std::uint64_t{0} << lo);
   return 1 + static_cast<usize>(std::popcount(~i & range));
-}
-
-/// Fills every lane's bitmap with the full universe: one all-ones pass over
-/// the whole plane, then each lane's tail word is masked down to the
-/// universe. One contiguous sweep over the arena — the word-parallel bulk
-/// initialization R scalar FS::full calls would each redo.
-inline void fill_lane_rows_full(std::uint64_t* words, usize num_words,
-                                usize lanes, std::uint64_t tail_mask) {
-  if (num_words == 0) return;
-  for (usize i = 0; i < num_words * lanes; ++i) words[i] = ~std::uint64_t{0};
-  for (usize lane = 0; lane < lanes; ++lane) {
-    words[lane * num_words + (num_words - 1)] = tail_mask;
-  }
 }
 
 }  // namespace amo::bits

@@ -5,10 +5,12 @@
 // precisely the executions quantified over in the paper's proofs.
 //
 // This is the only scheduler loop in the library. It is a template over the
-// process type P and (per run) the adversary type A. exp::run drives it type-
-// erased — P = automaton, A = sim::adversary — while the batched replica
-// engine (exp/batch.hpp) instantiates it over the concrete kk_process and a
-// concrete adversary, so step() and decide() inline into the loop.
+// process type P and (per run) the adversary type A, and exp::run
+// instantiates it two ways: over the concrete kk_process and a concrete
+// seeded adversary (random_adversary, block_adversary) for KK over
+// sim_memory with bitset FREE sets, so step() and decide() inline into the
+// loop; and type-erased — P = automaton, A = sim::adversary — for
+// everything else, decorators around an adversary included.
 #pragma once
 
 #include <cassert>

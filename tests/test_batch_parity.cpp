@@ -3,13 +3,12 @@
 // produce per-replica run_reports bit-identical (exp::equivalent, which
 // includes every charged op count) to the scalar engine, for consecutive and
 // strided replica subsets alike; sweep aggregates must stay byte-identical
-// across pool sizes, batch widths, and shard counts with batching on. The
-// seeded blocks run exp::run's own KK driver and scheduler loop over the
-// concrete adversary and process types, so what this suite pins beyond
-// the shared code is the two substitutions they ride on: exact Lemire
-// modulo (util/fastdiv.hpp) against hardware %, and the SoA lane FREE set
-// (sets/lane_free_set.hpp) against bitset_rank_set including the charge
-// stream; plus the classifier's reading of make_adversary's types.
+// across pool sizes, batch widths, and shard counts with batching on. Only
+// seed-independent schedules batch (run once, replicate); seeded cells run
+// each replica through the scalar engine, so what this suite pins beyond
+// the shared code is the classifier's reading of make_adversary's types and
+// the exact Lemire modulo (util/fastdiv.hpp) the seeded adversaries draw
+// through, against hardware %.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -23,8 +22,6 @@
 #include "exp/report.hpp"
 #include "exp/shard.hpp"
 #include "exp/sweep.hpp"
-#include "sets/bitset_rank_set.hpp"
-#include "sets/lane_free_set.hpp"
 #include "svc/worker_pool.hpp"
 #include "util/fastdiv.hpp"
 #include "util/prng.hpp"
@@ -106,73 +103,19 @@ TEST(FastMod, BoundedDrawReplicatesBelowStream) {
   ASSERT_EQ(a(), b());  // streams still in lockstep at the end
 }
 
-TEST(LaneFreeSet, MatchesBitsetRankSetIncludingCharges) {
-  // Drive one arena lane and a bitset_rank_set through an identical random
-  // op mix; results and the charged op stream must agree exactly.
-  for (const job_id universe : {job_id{1}, job_id{63}, job_id{64}, job_id{65},
-                               job_id{129}, job_id{1000}, job_id{4096}}) {
-    lane_free_arena arena(universe, 3);
-    lane_free_set lane = arena.view(1);  // middle lane: stride is exercised
-    bitset_rank_set ref = bitset_rank_set::full(universe);
-    op_counter lane_oc;
-    op_counter ref_oc;
-    lane.set_counter(&lane_oc);
-    ref.set_counter(&ref_oc);
-    ASSERT_EQ(lane.size(), ref.size());
-    ASSERT_EQ(lane.universe(), ref.universe());
-
-    xoshiro256 rng(universe * 7 + 1);
-    for (int step = 0; step < 4000; ++step) {
-      const std::uint64_t op = rng.below(5);
-      const job_id x = static_cast<job_id>(rng.below(universe + 2));  // 0..u+1
-      switch (op) {
-        case 0:
-          ASSERT_EQ(lane.contains(x), ref.contains(x));
-          break;
-        case 1:
-          if (x >= 1 && x <= universe) {
-            ASSERT_EQ(lane.insert(x), ref.insert(x));
-          }
-          break;
-        case 2:
-          ASSERT_EQ(lane.erase(x), ref.erase(x));
-          break;
-        case 3:
-          if (ref.size() > 0) {
-            const usize k = static_cast<usize>(rng.below(ref.size())) + 1;
-            ASSERT_EQ(lane.select(k), ref.select(k));
-          }
-          break;
-        case 4:
-          ASSERT_EQ(lane.rank_le(x), ref.rank_le(x));
-          break;
-      }
-      ASSERT_EQ(lane.size(), ref.size());
-      ASSERT_EQ(lane_oc, ref_oc) << "universe " << universe << " step " << step;
-    }
-    EXPECT_EQ(lane.to_vector(), ref.to_vector());
-    // Word surface agrees too (the word-parallel FREE \ TRY paths read it).
-    ASSERT_EQ(lane.num_words(), ref.num_words());
-    for (usize w = 0; w < ref.num_words(); ++w) {
-      ASSERT_EQ(lane.word(w), ref.word(w));
-    }
-    // Neighbor lanes were never touched: still the full universe.
-    EXPECT_EQ(arena.view(0).size(), static_cast<usize>(universe));
-    EXPECT_EQ(arena.view(2).size(), static_cast<usize>(universe));
-  }
-}
-
 TEST(BatchClassify, GateMatchesTheEngineContract) {
   using exp::batch_class;
   const auto cls = [](exp::run_spec s) { return exp::classify_batch(s); };
-  exp::run_spec base = kk_cell("random", 64, 3, 0, 4);
-  EXPECT_EQ(cls(base), batch_class::lanes);
-  EXPECT_EQ(cls(kk_cell("random+crash", 64, 3, 2, 4)), batch_class::lanes);
+  // Seeded schedules: every replica is its own execution, run scalar.
+  EXPECT_EQ(cls(kk_cell("random", 64, 3, 0, 4)), batch_class::not_batchable);
+  EXPECT_EQ(cls(kk_cell("random+crash", 64, 3, 2, 4)),
+            batch_class::not_batchable);
   EXPECT_EQ(cls(kk_cell("random+crash:3/100", 64, 3, 2, 4)),
-            batch_class::lanes);
-  EXPECT_EQ(cls(kk_cell("block4", 64, 3, 0, 4)), batch_class::lanes);
-  EXPECT_EQ(cls(kk_cell("block:7", 64, 3, 0, 4)), batch_class::lanes);
-  EXPECT_EQ(cls(kk_cell("round_robin", 64, 3, 0, 4)), batch_class::replicate);
+            batch_class::not_batchable);
+  EXPECT_EQ(cls(kk_cell("block4", 64, 3, 0, 4)), batch_class::not_batchable);
+  EXPECT_EQ(cls(kk_cell("block:7", 64, 3, 0, 4)), batch_class::not_batchable);
+  exp::run_spec base = kk_cell("round_robin", 64, 3, 0, 4);
+  EXPECT_EQ(cls(base), batch_class::replicate);
   EXPECT_EQ(cls(kk_cell("stale_view", 64, 3, 0, 4)), batch_class::replicate);
   EXPECT_EQ(cls(kk_cell("stale_view:100", 64, 3, 0, 4)),
             batch_class::replicate);
@@ -206,18 +149,17 @@ TEST(BatchClassify, GateMatchesTheEngineContract) {
   ao2.algo = exp::algo_family::ao2;
   EXPECT_EQ(cls(ao2), batch_class::not_batchable);  // m == 3
   ao2.m = 2;
-  EXPECT_EQ(cls(ao2), batch_class::lanes);
+  EXPECT_EQ(cls(ao2), batch_class::replicate);
   exp::run_spec threads = base;
   threads.driver = exp::driver_kind::os_threads;
   EXPECT_EQ(cls(threads), batch_class::not_batchable);
 }
 
 TEST(BatchParity, AdversaryZooAcrossWidths) {
-  // Every batchable schedule class, at widths 2, 7, and R (full block).
-  const std::vector<std::string> zoo = {
-      "round_robin",   "random",       "random+crash", "random+crash:3/100",
-      "block4",        "block64",      "block:7",      "stale_view",
-      "stale_view:64", "announce_crash"};
+  // Every batchable (seed-independent) schedule, at widths 2, 7, and R
+  // (full block).
+  const std::vector<std::string> zoo = {"round_robin", "stale_view",
+                                        "stale_view:64", "announce_crash"};
   for (const std::string& adv : zoo) {
     const exp::run_spec cell = kk_cell(adv, 129, 3, 2, 9, 23);
     for (const usize width : {usize{2}, usize{7}, usize{9}}) {
@@ -230,7 +172,7 @@ TEST(BatchParity, AdversaryZooAcrossWidths) {
 
 TEST(BatchParity, Ao2AndScriptedAndBigM) {
   // ao2 (the normalized two-process building block).
-  exp::run_spec ao2 = kk_cell("random", 80, 2, 1, 6, 5);
+  exp::run_spec ao2 = kk_cell("announce_crash", 80, 2, 1, 6, 5);
   ao2.algo = exp::algo_family::ao2;
   expect_block_matches_scalar(ao2, {0, 1, 2, 3, 4, 5});
 
@@ -239,17 +181,17 @@ TEST(BatchParity, Ao2AndScriptedAndBigM) {
       kk_cell("scripted:s1 s1 s2 c3 s2 s1", 40, 3, 1, 4, 9);
   expect_block_matches_scalar(scripted, {0, 1, 2, 3});
 
-  // m >= 32 engages the word-parallel TRY paths inside every lane.
-  const exp::run_spec wide = kk_cell("random", 300, 33, 4, 4, 31);
+  // m >= 32 engages the word-parallel TRY paths.
+  const exp::run_spec wide = kk_cell("stale_view", 300, 33, 4, 4, 31);
   expect_block_matches_scalar(wide, {0, 1, 2, 3});
-  const exp::run_spec wide_blocks = kk_cell("block64", 300, 33, 0, 3, 31);
-  expect_block_matches_scalar(wide_blocks, {0, 1, 2});
+  const exp::run_spec wide_crash = kk_cell("announce_crash", 300, 33, 32, 3, 31);
+  expect_block_matches_scalar(wide_crash, {0, 1, 2});
 }
 
 TEST(BatchParity, StridedReplicaSubsets) {
-  // Shard slices hand the block non-consecutive replica indices; lanes are
-  // independent streams, so any ascending subset must match its scalar runs.
-  const exp::run_spec cell = kk_cell("random+crash", 129, 3, 2, 12, 77);
+  // Shard slices hand the block non-consecutive replica indices; any
+  // ascending subset must match its scalar runs, echoed seeds included.
+  const exp::run_spec cell = kk_cell("announce_crash", 129, 3, 2, 12, 77);
   expect_block_matches_scalar(cell, {0, 3, 6, 9});
   expect_block_matches_scalar(cell, {1, 4, 7, 10});
   expect_block_matches_scalar(cell, {2, 5, 11});
@@ -257,8 +199,8 @@ TEST(BatchParity, StridedReplicaSubsets) {
   expect_block_matches_scalar(rr, {0, 5, 10});
 }
 
-/// Mixed grid for the byte-identity sweeps: batchable seeded + seedless
-/// cells, a non-batchable iterative cell, and an ao2 cell.
+/// Mixed grid for the byte-identity sweeps: seeded (scalar) and seedless
+/// (replicated) kk cells, a non-batchable iterative cell, and an ao2 cell.
 std::vector<exp::run_spec> parity_grid() {
   std::vector<exp::run_spec> cells;
   cells.push_back(kk_cell("random", 129, 3, 2, 5));

@@ -55,6 +55,21 @@ TEST(Bounds, KknsFormulaShape) {
   EXPECT_DOUBLE_EQ(bounds::kkns_effectiveness(1024, 2), 1023.0);
 }
 
+TEST(Bounds, KknsEffectivenessIsExactOnPerfectPowers) {
+  // n = r^h with h = lg m: the bound is exactly (r-1)^h, not a pow() value
+  // a rounding step away from it.
+  EXPECT_EQ(bounds::kkns_effectiveness(4096, 8), 3375.0);          // 15^3
+  EXPECT_EQ(bounds::kkns_effectiveness(1048576, 32), 759375.0);    // 15^5
+  EXPECT_EQ(bounds::kkns_effectiveness(65536, 16), 50625.0);       // 15^4
+  EXPECT_EQ(bounds::kkns_effectiveness(1048576, 4), 1046529.0);    // 1023^2
+  EXPECT_EQ(bounds::kkns_effectiveness(4096, 2), 4095.0);          // h = 1
+  EXPECT_EQ(bounds::kkns_effectiveness(1, 8), 0.0);
+  EXPECT_EQ(bounds::kkns_effectiveness(0, 8), 0.0);
+  // Not a perfect power: still the real-valued formula.
+  EXPECT_GT(bounds::kkns_effectiveness(4500, 8), 3375.0);
+  EXPECT_LT(bounds::kkns_effectiveness(4500, 8), 4096.0);
+}
+
 TEST(Bounds, KkBeatsKknsForModerateM) {
   // The paper's improvement: n - 2m + 2 vs n - lg m * o(n).
   const usize n = 1 << 20;

@@ -5,8 +5,11 @@
 // crash_budget = m-1).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "analysis/bounds.hpp"
 #include "exp/engine.hpp"
@@ -32,6 +35,68 @@ TEST(ExpEngine, SameSpecSameReport) {
   const exp::run_report a = exp::run(spec);
   const exp::run_report b = exp::run(spec);
   EXPECT_TRUE(exp::equivalent(a, b));
+}
+
+/// Forwards every decision to an inner adversary. Its type is not one the
+/// engine binds statically, so a run through it takes the type-erased
+/// scheduler instantiation.
+class forwarding_adversary final : public sim::adversary {
+ public:
+  explicit forwarding_adversary(sim::adversary& inner) : inner_(inner) {}
+  sim::decision decide(const sim::sched_view& v) override {
+    return inner_.decide(v);
+  }
+  [[nodiscard]] const char* name() const override { return inner_.name(); }
+
+ private:
+  sim::adversary& inner_;
+};
+
+TEST(ExpEngine, StaticAndTypeErasedKkRunsAgree) {
+  // exp::run binds the seeded adversaries to their concrete types; wrapped
+  // in a decorator, the same schedule runs the type-erased loop. Reports
+  // and every charged op count must agree.
+  std::vector<exp::run_spec> specs;
+  for (const char* adv : {"random", "random+crash", "block64"}) {
+    for (const usize n : {usize{256}, usize{4096}}) {
+      for (const usize m : {usize{3}, usize{33}}) {
+        exp::run_spec spec = small_kk(adv, 17);
+        spec.n = n;
+        spec.m = m;
+        spec.crash_budget = m - 1;
+        specs.push_back(spec);
+      }
+    }
+  }
+  // Other parameterizations of the bound types, and ao2 (which shares the
+  // KK driver at m = 2).
+  for (const char* adv : {"block4", "block:7", "random+crash:3/100"}) {
+    exp::run_spec spec = small_kk(adv, 29);
+    spec.m = 5;
+    spec.crash_budget = 4;
+    specs.push_back(spec);
+  }
+  for (const char* adv : {"random", "random+crash:3/100"}) {
+    exp::run_spec spec = small_kk(adv, 31);
+    spec.algo = exp::algo_family::ao2;
+    spec.m = 2;
+    spec.crash_budget = 1;
+    specs.push_back(spec);
+  }
+  for (const exp::run_spec& spec : specs) {
+    const std::string label = spec.adversary.name + " " +
+                              exp::to_string(spec.algo) +
+                              " n=" + std::to_string(spec.n) +
+                              " m=" + std::to_string(spec.m);
+    const exp::run_report bound = exp::run(spec);
+    const std::unique_ptr<sim::adversary> inner =
+        exp::make_adversary(spec.adversary);
+    ASSERT_NE(inner, nullptr) << label;
+    forwarding_adversary erased(*inner);
+    const exp::run_report decorated = exp::run(spec, erased);
+    EXPECT_TRUE(exp::equivalent(bound, decorated)) << label;
+    EXPECT_EQ(bound.total_work, decorated.total_work) << label;
+  }
 }
 
 TEST(ExpEngine, DegenerateUniverseRunsVacuously) {
