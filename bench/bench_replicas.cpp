@@ -5,14 +5,15 @@
 //
 //   repl/xR    n=256 m=3  — seed-independent adversaries (round_robin,
 //              stale_view, announce_crash): every replica's schedule is
-//              identical, so the batched engine runs one pass and
-//              replicates the report R ways. Reference: the serial sweep
-//              with batching off (batch=0); engine: batch=auto. Cost is
-//              ~1 unit for R, i.e. ~R x. Gates the >= 3x floor at R >= 8.
-//   mix/xR     n=256 m=3  — all six classes through the same two sweeps,
-//              reported for context: the seeded half runs scalar on both
-//              sides, so the composition of a real grid decides where
-//              between 1x and R x it lands.
+//              identical, so the sweep runs each cell's replicas as one
+//              block that runs once and copies the report R ways.
+//              Reference: each unit through plain exp::run; engine: the
+//              serial exp::sweep. Cost is ~1 unit for R, i.e. ~R x. Gates
+//              the >= 3x floor at R >= 8.
+//   mix/xR     n=256 m=3  — all six classes through the same two paths,
+//              reported for context: the seeded half runs one exp::run per
+//              unit on both sides, so the composition of a real grid
+//              decides where between 1x and R x it lands.
 //   seeded/xR  n=256 m=3  — seed-dependent adversaries (random,
 //              random+crash, block64): each replica is its own execution.
 //              exp::run binds these adversary types statically, so
@@ -27,10 +28,12 @@
 // Each row alternates the reference and engine passes at least kReps times
 // and until the row has run for kMinRowSeconds, keeps each side's fastest,
 // and reports their units/second, the ratio, and whether the two sides
-// agree: the no-timing aggregate JSON byte for byte for the sweep rows,
-// exp::equivalent per unit (every charged op count included) for the
-// dispatch rows. bit_identical gates in CI.
+// agree: exp::equivalent per unit (every charged op count included) on
+// every row, and for the sweep rows also the no-timing aggregate JSON byte
+// for byte, the reference's units folded per cell as the sweep folds them.
+// bit_identical gates in CI.
 #include <memory>
+#include <span>
 #include <thread>
 
 #include "bench_common.hpp"
@@ -65,7 +68,7 @@ exp::run_spec cell(const char* label, const char* adv, std::uint64_t seed,
   return s;
 }
 
-/// Seed-independent schedule classes: the block runs once and replicates.
+/// Seed-independent schedule classes: the block runs once and copies.
 std::vector<exp::run_spec> repl_grid(usize replicas) {
   std::vector<exp::run_spec> cells;
   cells.push_back(cell("batch/round_robin", "round_robin", 1, 3, replicas));
@@ -83,7 +86,7 @@ std::vector<exp::run_spec> seeded_grid(usize replicas) {
   return cells;
 }
 
-/// Every schedule class the classifier knows — what a realistic grid sees.
+/// Every schedule class above — what a realistic grid sees.
 std::vector<exp::run_spec> mix_grid(usize replicas) {
   std::vector<exp::run_spec> cells = repl_grid(replicas);
   std::vector<exp::run_spec> seeded = seeded_grid(replicas);
@@ -117,10 +120,9 @@ class forwarding_adversary final : public sim::adversary {
 
 /// How one side of a row runs its grid.
 enum class path : std::uint8_t {
-  sweep_scalar,  ///< serial sweep, batching off
-  sweep_batched, ///< serial sweep, batch=auto
-  run_erased,    ///< each unit through exp::run behind forwarding_adversary
-  run_bound,     ///< each unit through plain exp::run
+  sweep,       ///< serial exp::sweep
+  run_erased,  ///< each unit through exp::run behind forwarding_adversary
+  run_bound,   ///< each unit through plain exp::run
 };
 
 /// One side of the comparison and its fastest pass so far.
@@ -134,13 +136,10 @@ struct timed_side {
 
   void run(const std::vector<exp::run_spec>& cells) {
     exp::sweep_result cur;
-    if (how == path::sweep_scalar || how == path::sweep_batched) {
+    if (how == path::sweep) {
       exp::sweep_options serial;
       serial.pool_size = 1;
-      cur = exp::sweep(cells, serial,
-                       exp::batch_options{how == path::sweep_scalar
-                                              ? usize{0}
-                                              : exp::batch_auto});
+      cur = exp::sweep(cells, serial);
     } else {
       stopwatch clock;
       for (const exp::unit_ref& u : exp::shard_units(cells, {0, 1})) {
@@ -164,9 +163,29 @@ struct timed_side {
   }
 };
 
-std::string aggregate_json(const exp::sweep_result& swept, std::uint64_t fp) {
+/// Per-unit reports folded per cell exactly as exp::sweep folds them.
+exp::sweep_result fold_units(const std::vector<exp::run_spec>& cells,
+                             const std::vector<exp::run_report>& reports) {
+  exp::sweep_result folded;
+  folded.reports = reports;
+  usize first = 0;
+  for (const exp::run_spec& c : cells) {
+    exp::cell_report cr;
+    cr.first = first;
+    cr.replicas = exp::resolved_replicas(c);
+    cr.stats = exp::fold_replicas(
+        std::span<const exp::run_report>(reports).subspan(first, cr.replicas));
+    first += cr.replicas;
+    folded.cells.push_back(cr);
+  }
+  return folded;
+}
+
+std::string aggregate_json(const std::vector<exp::run_spec>& cells,
+                           const exp::sweep_result& swept) {
   exp::json_writer json;
-  exp::add_cell_records(json, swept, fp, /*include_timing=*/false);
+  exp::add_cell_records(json, swept, exp::grid_fingerprint(cells),
+                        /*include_timing=*/false);
   return json.dump();
 }
 
@@ -187,7 +206,7 @@ int main() {
   stopwatch total;
   benchx::print_title(
       "Replica throughput  (engine path vs the reference path of each floor)",
-      "claim: batching seed-independent replicas and binding seeded\n"
+      "claim: running seed-independent replicas once and binding seeded\n"
       "adversaries statically both beat their reference paths; charged op\n"
       "counts stay bit-identical");
 
@@ -202,7 +221,7 @@ int main() {
   struct grid_def {
     const char* name;
     std::vector<exp::run_spec> (*make)(usize);
-    bool dispatch;  ///< reference = type-erased exp::run, else batch=0 sweep
+    bool dispatch;  ///< reference = type-erased exp::run, else plain exp::run
     double floor;   ///< min speedup required at R >= 8; 0 = informational
   };
   const grid_def grids[] = {{"repl", &repl_grid, false, 3.0},
@@ -215,10 +234,9 @@ int main() {
                                  usize{64}}) {
       const std::vector<exp::run_spec> cells = g.make(replicas);
       const usize units = exp::unit_count(cells);
-      const std::uint64_t fp = exp::grid_fingerprint(cells);
 
-      timed_side reference{g.dispatch ? path::run_erased : path::sweep_scalar};
-      timed_side engine{g.dispatch ? path::run_bound : path::sweep_batched};
+      timed_side reference{g.dispatch ? path::run_erased : path::run_bound};
+      timed_side engine{g.dispatch ? path::run_bound : path::sweep};
       for (int rep = 0;
            rep < kReps || reference.spent + engine.spent < kMinRowSeconds;
            ++rep) {
@@ -227,10 +245,10 @@ int main() {
       }
 
       const bool identical =
-          g.dispatch
-              ? all_equivalent(reference.result.reports, engine.result.reports)
-              : aggregate_json(engine.result, fp) ==
-                    aggregate_json(reference.result, fp);
+          all_equivalent(reference.result.reports, engine.result.reports) &&
+          (g.dispatch ||
+           aggregate_json(cells, fold_units(cells, reference.result.reports)) ==
+               aggregate_json(cells, engine.result));
       all_identical = all_identical && identical;
 
       const double reference_ups =
@@ -239,7 +257,7 @@ int main() {
       const double speedup =
           reference_ups > 0 ? engine_ups / reference_ups : 0.0;
       // Floors bind at R >= 8, where replica blocks amortise their one
-      // scalar pass; the narrower rows are context.
+      // exp::run pass; the narrower rows are context.
       if (g.floor > 0.0 && replicas >= 8) {
         floors_ok = floors_ok && speedup >= g.floor;
       }
@@ -249,7 +267,7 @@ int main() {
         duplicates += r.perform_events - r.effectiveness;
       }
 
-      const char* reference_name = g.dispatch ? "type_erased" : "batch=0";
+      const char* reference_name = g.dispatch ? "type_erased" : "exp_run";
       t.add_row({g.name, fmt_count(replicas), fmt_count(units), reference_name,
                  fmt_count(static_cast<usize>(reference_ups)),
                  fmt_count(static_cast<usize>(engine_ups)),

@@ -1,50 +1,71 @@
 #include "exp/sweep.hpp"
 
+#include <memory>
 #include <span>
 
 #include "exp/engine.hpp"
 #include "obs/telemetry.hpp"
+#include "sim/trace.hpp"
 #include "svc/worker_pool.hpp"
 #include "util/stopwatch.hpp"
 
 namespace amo::exp {
 
+bool seed_independent(const run_spec& cell) {
+  if (cell.driver != driver_kind::scheduled) return false;
+  if (cell.memory != memory_kind::sim) return false;
+  if (cell.free_set != free_set_kind::bitset) return false;
+  if (cell.record_trace) return false;
+  if (cell.n == 0 || cell.m == 0) return false;
+  if (cell.algo == algo_family::ao2) {
+    if (cell.m != 2) return false;
+  } else if (cell.algo != algo_family::kk) {
+    return false;
+  }
+  // The answer follows the type make_adversary builds, so the engine's
+  // grammar is the only one. Names it rejects (nullptr) and adversary types
+  // not listed here — the seeded ones included — run each replica through
+  // exp::run, which throws exactly as every unit would.
+  const std::unique_ptr<sim::adversary> adv = make_adversary(cell.adversary);
+  const sim::adversary* a = adv.get();
+  return dynamic_cast<const sim::round_robin_adversary*>(a) != nullptr ||
+         dynamic_cast<const sim::stale_view_adversary*>(a) != nullptr ||
+         dynamic_cast<const sim::announce_crash_adversary*>(a) != nullptr ||
+         dynamic_cast<const sim::scripted_adversary*>(a) != nullptr ||
+         dynamic_cast<const sim::replay_adversary*>(a) != nullptr;
+}
+
 namespace {
 
 /// One pool task: units[first .. first+count). count > 1 only for a replica
-/// block of one batchable cell.
+/// block of one seed-independent cell.
 struct unit_task {
   usize first = 0;
   usize count = 1;
 };
 
-/// Groups the unit list into pool tasks: maximal runs of consecutive units
-/// of the same batchable cell become replica blocks (capped at the batch
-/// width), everything else stays a single scalar unit. Grouping is a pure
-/// function of (units, cells, batch), so every shard slices into the same
-/// blocks wherever its units are adjacent.
+/// Groups the unit list into pool tasks: each maximal run of consecutive
+/// units of the same seed-independent cell becomes one replica block,
+/// everything else a single unit. Grouping is a pure function of (units,
+/// cells), so every shard slices into the same blocks wherever its units
+/// are adjacent.
 std::vector<unit_task> plan_unit_tasks(const std::vector<run_spec>& cells,
-                                       const std::vector<unit_ref>& units,
-                                       const batch_options& batch) {
+                                       const std::vector<unit_ref>& units) {
   std::vector<unit_task> tasks;
   tasks.reserve(units.size());
-  const usize width = batch.batch_replicas;
-  // Units are cell-major, so classifying only when the cell changes builds
-  // one probe adversary per cell rather than one per replica.
-  usize classified = cells.size();
-  bool cell_batchable = false;
+  // Units are cell-major, so asking only when the cell changes builds one
+  // probe adversary per cell rather than one per replica.
+  usize probed = cells.size();
+  bool cell_replicates = false;
   usize i = 0;
   while (i < units.size()) {
     usize j = i + 1;
-    if (width > 1 && units[i].cell != classified) {
-      classified = units[i].cell;
-      cell_batchable = batchable(cells[classified]);
+    if (units[i].cell != probed) {
+      probed = units[i].cell;
+      cell_replicates = seed_independent(cells[probed]);
     }
-    if (width > 1 && cell_batchable) {
-      while (j < units.size() && units[j].cell == units[i].cell &&
-             j - i < width) {
-        ++j;
-      }
+    if (cell_replicates) {
+      while (j < units.size() && units[j].cell == units[i].cell) ++j;
     }
     tasks.push_back({i, j - i});
     i = j;
@@ -56,7 +77,7 @@ std::vector<unit_task> plan_unit_tasks(const std::vector<run_spec>& cells,
 
 unit_run_result run_units(const std::vector<run_spec>& cells,
                           const std::vector<unit_ref>& units,
-                          svc::worker_pool& pool, const batch_options& batch) {
+                          svc::worker_pool& pool) {
   unit_run_result out;
   out.reports.resize(units.size());
 
@@ -86,11 +107,11 @@ unit_run_result run_units(const std::vector<run_spec>& cells,
     return out;
   }
 
-  const std::vector<unit_task> tasks = plan_unit_tasks(cells, units, batch);
+  const std::vector<unit_task> tasks = plan_unit_tasks(cells, units);
   out.pool_size = pool.run_indexed(tasks.size(), [&](usize t) {
     const unit_task& tk = tasks[t];
+    const unit_ref& u = units[tk.first];
     if (tk.count == 1) {
-      const unit_ref& u = units[tk.first];
       obs::span sp("sweep", "unit");
       sp.arg("cell", static_cast<std::uint64_t>(u.cell));
       sp.arg("replica", static_cast<std::uint64_t>(u.replica));
@@ -98,29 +119,22 @@ unit_run_result run_units(const std::vector<run_spec>& cells,
       return;
     }
     obs::span sp("sweep", "replica_block");
-    sp.arg("cell", static_cast<std::uint64_t>(units[tk.first].cell));
+    sp.arg("cell", static_cast<std::uint64_t>(u.cell));
     sp.arg("replicas", static_cast<std::uint64_t>(tk.count));
-    std::vector<usize> replicas(tk.count);
+    // Replicas of a seed-independent schedule are the same execution,
+    // differing only in the echoed seed.
+    const run_report base = run(replica_spec(cells[u.cell], u.replica));
     for (usize k = 0; k < tk.count; ++k) {
-      replicas[k] = units[tk.first + k].replica;
-    }
-    std::vector<run_report> block =
-        run_replica_block(cells[units[tk.first].cell], replicas);
-    for (usize k = 0; k < tk.count; ++k) {
-      out.reports[tk.first + k] = std::move(block[k]);
+      run_report& rep = out.reports[tk.first + k];
+      rep = base;
+      rep.seed = replica_seed(cells[u.cell].adversary.seed,
+                              units[tk.first + k].replica);
     }
   });
   return out;
 }
 
-unit_run_result run_units(const std::vector<run_spec>& cells,
-                          const std::vector<unit_ref>& units,
-                          svc::worker_pool& pool) {
-  return run_units(cells, units, pool, batch_options{});
-}
-
-sweep_result sweep(const std::vector<run_spec>& cells, svc::worker_pool& pool,
-                   const batch_options& batch) {
+sweep_result sweep(const std::vector<run_spec>& cells, svc::worker_pool& pool) {
   sweep_result out;
   out.cells.reserve(cells.size());
 
@@ -138,7 +152,7 @@ sweep_result sweep(const std::vector<run_spec>& cells, svc::worker_pool& pool,
   }
 
   stopwatch clock;
-  unit_run_result ur = run_units(cells, units, pool, batch);
+  unit_run_result ur = run_units(cells, units, pool);
   out.reports = std::move(ur.reports);
   out.pool_size = ur.pool_size;
   out.wall_seconds = clock.seconds();
@@ -150,18 +164,9 @@ sweep_result sweep(const std::vector<run_spec>& cells, svc::worker_pool& pool,
   return out;
 }
 
-sweep_result sweep(const std::vector<run_spec>& cells, svc::worker_pool& pool) {
-  return sweep(cells, pool, batch_options{});
-}
-
-sweep_result sweep(const std::vector<run_spec>& cells, const sweep_options& opt,
-                   const batch_options& batch) {
-  svc::worker_pool pool(opt.pool_size);
-  return sweep(cells, pool, batch);
-}
-
 sweep_result sweep(const std::vector<run_spec>& cells, const sweep_options& opt) {
-  return sweep(cells, opt, batch_options{});
+  svc::worker_pool pool(opt.pool_size);
+  return sweep(cells, pool);
 }
 
 }  // namespace amo::exp

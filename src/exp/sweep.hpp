@@ -17,7 +17,6 @@
 
 #include <vector>
 
-#include "exp/batch.hpp"
 #include "exp/shard.hpp"
 #include "exp/stats.hpp"
 
@@ -68,15 +67,6 @@ sweep_result sweep(const std::vector<run_spec>& cells,
 /// here). Byte-identical reports to the options form at any pool size.
 sweep_result sweep(const std::vector<run_spec>& cells, svc::worker_pool& pool);
 
-/// Batching-control variants. `batch` is an execution option only — reports
-/// are bit-identical at every batch width, including width 0 (scalar); the
-/// parameterless forms above default to batch_options{} (auto, i.e.
-/// batching on wherever a cell is batchable). See exp/batch.hpp.
-sweep_result sweep(const std::vector<run_spec>& cells, const sweep_options& opt,
-                   const batch_options& batch);
-sweep_result sweep(const std::vector<run_spec>& cells, svc::worker_pool& pool,
-                   const batch_options& batch);
-
 struct unit_run_result {
   std::vector<run_report> reports;  ///< reports[i] corresponds to units[i]
   usize pool_size = 0;              ///< workers actually used
@@ -88,19 +78,21 @@ struct unit_run_result {
 /// here, so whole-grid and sharded executions cannot drift apart (the
 /// byte-identity the merge layer depends on). Same error contract as
 /// sweep(): all units run, the first exception rethrows after the drain.
+/// Consecutive units of one seed_independent cell (adjacent in every
+/// shard_units output, whose slices stride the cell-major unit space) run
+/// as one replica block; each report is still bit-identical to
+/// run(replica_spec(cell, replica)), echoed seed included.
 unit_run_result run_units(const std::vector<run_spec>& cells,
                           const std::vector<unit_ref>& units,
                           svc::worker_pool& pool);
 
-/// Batching-control variant of the unit kernel. Consecutive units of the
-/// same batchable cell (consecutive same-cell units are adjacent in every
-/// shard_units output — slices are strided ascending over the cell-major
-/// unit space) are grouped into replica blocks of at most
-/// batch.batch_replicas replicas and executed by exp::run_replica_block as one
-/// pool task; everything else runs scalar. Reports are bit-identical to the
-/// scalar path at any width, so the sharded merge contract is unaffected.
-unit_run_result run_units(const std::vector<run_spec>& cells,
-                          const std::vector<unit_ref>& units,
-                          svc::worker_pool& pool, const batch_options& batch);
+/// True when every replica of `cell` is provably the same execution, so
+/// one exp::run serves them all. Fails closed: only kk (and ao2 at m = 2)
+/// × scheduled × sim × bitset cells without trace recording qualify, and
+/// only when make_adversary builds one of the seed-independent types.
+/// Names it rejects, seeded schedules and everything else are false, and
+/// each of their replicas runs through exp::run (which throws exactly as
+/// every unit would).
+[[nodiscard]] bool seed_independent(const run_spec& cell);
 
 }  // namespace amo::exp

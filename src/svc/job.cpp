@@ -44,9 +44,6 @@ std::string to_line(const job& j) {
   out += buf;
   if (j.scheduled_only) out += " scheduled-only";
   if (j.no_timing) out += " no-timing";
-  // batch= is an execution option with no effect on results; the default
-  // (auto) is omitted so canonical lines are unchanged for default jobs.
-  if (j.batch != exp::batch_auto) out += " batch=" + std::to_string(j.batch);
   if (j.have_shard) out += " shard=" + exp::to_string(j.shard);
   if (!j.out.empty()) out += " out=" + j.out;
   // format= only when explicit: an inferred colfmt (out=*.amoc) is already
@@ -120,20 +117,6 @@ bool parse_job_line(std::string_view text, usize line_no, job& out,
     }
     if (key == "replicas") {
       return parse_count(key, value, j.params.replicas, line_no, error);
-    }
-    if (key == "batch") {
-      if (value == "auto") {
-        j.batch = exp::batch_auto;
-        return true;
-      }
-      std::uint64_t v = 0;
-      if (!parse_u64(value, v)) {
-        error = line_error(line_no, "bad batch= value '" + std::string(value) +
-                                        "' (want auto, 0, or a width)");
-        return false;
-      }
-      j.batch = static_cast<usize>(v);
-      return true;
     }
     if (key == "shard") {
       if (!exp::parse_shard(value, j.shard)) {

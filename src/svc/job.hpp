@@ -11,9 +11,6 @@
 //   <scenario> [<scenario> ...] [key=value ...] [flag ...]   [# comment]
 //
 //   keys:   n= m= beta= eps= seed= seeds= replicas= shard=i/k out=FILE
-//           batch=auto|0|N  (replica-block width; execution option only —
-//           results are bit-identical at every width, so the default "auto"
-//           is omitted from canonical lines)
 //           format=json|colfmt  (output encoding; without it, an out= path
 //           ending in ".amoc" selects colfmt — so canonical lines carry
 //           format= only when it was spelled explicitly)
@@ -32,7 +29,6 @@
 #include <string_view>
 #include <vector>
 
-#include "exp/batch.hpp"
 #include "exp/colfmt.hpp"
 #include "exp/registry.hpp"
 #include "exp/shard.hpp"
@@ -46,7 +42,6 @@ struct job {
   bool no_timing = false;              ///< omit wall_seconds from JSON
   bool have_shard = false;
   exp::shard_ref shard;                ///< slice of the job's own grid
-  usize batch = exp::batch_auto;       ///< replica-block width (0 = scalar)
   std::string out;                     ///< output path; "" = service stream
   bool have_format = false;            ///< format= spelled explicitly
   exp::record_format format = exp::record_format::json;

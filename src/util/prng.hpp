@@ -8,9 +8,9 @@
 //
 // The generator bodies are header-inline: adversary decide() loops draw once
 // per scheduled action, and a cross-TU call per draw was measurable on the
-// engine hot path. The batched replica engine (exp/batch.hpp) additionally
-// relies on inlining these bodies, through a concrete adversary's decide(),
-// into the scheduler loop. The adversaries draw bounded values through
+// engine hot path. exp::run's statically bound KK path (exp/engine.cpp)
+// additionally relies on inlining these bodies, through a concrete
+// adversary's decide(), into the scheduler loop. The adversaries draw bounded values through
 // util/fastdiv.hpp's bounded_draw rather than below()/chance(): same values
 // and draw count, no hardware divide.
 #pragma once

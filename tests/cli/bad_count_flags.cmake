@@ -15,8 +15,7 @@ set(bad_args
   "--seeds=1.5"
   "--retries=-2"
   "--pool=1e3"
-  "--shards=three"
-  "--batch-replicas=-1")
+  "--shards=three")
 foreach(args IN LISTS bad_args)
   string(REPLACE "|" " " shown "${args}")
   string(REPLACE "|" ";" argv "${args}")
@@ -33,7 +32,6 @@ endforeach()
 # The same flags with well-formed values still run.
 execute_process(COMMAND ${AMO_LAB} run kk/random --n=64 --m=2 --beta=2 --eps=2
                         --seed=3 --seeds=1 --replicas=2 --pool=1
-                        --batch-replicas=auto
                 RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "well-formed count flags: exit ${rc}\n${err}")

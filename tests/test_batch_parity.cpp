@@ -1,21 +1,22 @@
-// Differential parity for the batched replica engine (exp/batch.hpp): every
-// batchable algo family × the adversary zoo × several batch widths must
-// produce per-replica run_reports bit-identical (exp::equivalent, which
-// includes every charged op count) to the scalar engine, for consecutive and
-// strided replica subsets alike; sweep aggregates must stay byte-identical
-// across pool sizes, batch widths, and shard counts with batching on. Only
-// seed-independent schedules batch (run once, replicate); seeded cells run
-// each replica through the scalar engine, so what this suite pins beyond
-// the shared code is the classifier's reading of make_adversary's types and
-// the exact Lemire modulo (util/fastdiv.hpp) the seeded adversaries draw
-// through, against hardware %.
+// Differential parity for the sweep's one replica rule: consecutive units
+// of a seed-independent cell run exp::run once and copy the report, so
+// every unit run_units hands back — over the whole unit list and over shard
+// slices, whose units of one cell are strided subsets — must be
+// exp::equivalent (every charged op count included) to running that unit's
+// replica_spec through exp::run, echoed seed included; sweep aggregates
+// must stay byte-identical to a fold of those per-unit runs across pool
+// sizes and shard counts. Seeded cells run each replica through exp::run
+// either way, so what this suite pins beyond the shared code is
+// exp::seed_independent's reading of make_adversary's types and the exact
+// Lemire modulo (util/fastdiv.hpp) the seeded adversaries draw through,
+// against hardware %.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "exp/batch.hpp"
 #include "exp/engine.hpp"
 #include "exp/merge.hpp"
 #include "exp/record.hpp"
@@ -44,25 +45,32 @@ exp::run_spec kk_cell(const std::string& adv, usize n, usize m,
   return s;
 }
 
-/// The scalar reference: each replica through exp::run independently.
-std::vector<exp::run_report> scalar_reports(const exp::run_spec& cell,
-                                            const std::vector<usize>& reps) {
-  std::vector<exp::run_report> out;
-  out.reserve(reps.size());
-  for (const usize r : reps) out.push_back(exp::run(exp::replica_spec(cell, r)));
-  return out;
+/// Runs `units` through run_units and checks each report against the unit
+/// through exp::run on its own.
+void expect_units_match_run(const std::vector<exp::run_spec>& cells,
+                            const std::vector<exp::unit_ref>& units,
+                            svc::worker_pool& pool) {
+  const exp::unit_run_result got = exp::run_units(cells, units, pool);
+  ASSERT_EQ(got.reports.size(), units.size());
+  for (usize i = 0; i < units.size(); ++i) {
+    const exp::unit_ref& u = units[i];
+    const exp::run_report expected =
+        exp::run(exp::replica_spec(cells[u.cell], u.replica));
+    EXPECT_TRUE(exp::equivalent(expected, got.reports[i]))
+        << cells[u.cell].label << " replica " << u.replica;
+    EXPECT_EQ(got.reports[i].seed, expected.seed) << cells[u.cell].label;
+  }
 }
 
-void expect_block_matches_scalar(const exp::run_spec& cell,
-                                 const std::vector<usize>& reps) {
-  const std::vector<exp::run_report> expected = scalar_reports(cell, reps);
-  const std::vector<exp::run_report> got =
-      exp::run_replica_block(cell, reps);
-  ASSERT_EQ(got.size(), expected.size()) << cell.label;
-  for (usize i = 0; i < got.size(); ++i) {
-    EXPECT_TRUE(exp::equivalent(expected[i], got[i]))
-        << cell.label << " replica " << reps[i];
-    EXPECT_EQ(got[i].seed, expected[i].seed) << cell.label;
+/// The whole unit list, then every slice of 2, 3 and 5 shards.
+void expect_grid_matches_run(const std::vector<exp::run_spec>& cells) {
+  svc::worker_pool pool(2);
+  expect_units_match_run(cells, exp::shard_units(cells, {0, 1}), pool);
+  for (const usize k : {usize{2}, usize{3}, usize{5}}) {
+    for (usize i = 0; i < k; ++i) {
+      SCOPED_TRACE("shard " + std::to_string(i) + "/" + std::to_string(k));
+      expect_units_match_run(cells, exp::shard_units(cells, {i, k}), pool);
+    }
   }
 }
 
@@ -103,104 +111,101 @@ TEST(FastMod, BoundedDrawReplicatesBelowStream) {
   ASSERT_EQ(a(), b());  // streams still in lockstep at the end
 }
 
-TEST(BatchClassify, GateMatchesTheEngineContract) {
-  using exp::batch_class;
-  const auto cls = [](exp::run_spec s) { return exp::classify_batch(s); };
-  // Seeded schedules: every replica is its own execution, run scalar.
-  EXPECT_EQ(cls(kk_cell("random", 64, 3, 0, 4)), batch_class::not_batchable);
-  EXPECT_EQ(cls(kk_cell("random+crash", 64, 3, 2, 4)),
-            batch_class::not_batchable);
-  EXPECT_EQ(cls(kk_cell("random+crash:3/100", 64, 3, 2, 4)),
-            batch_class::not_batchable);
-  EXPECT_EQ(cls(kk_cell("block4", 64, 3, 0, 4)), batch_class::not_batchable);
-  EXPECT_EQ(cls(kk_cell("block:7", 64, 3, 0, 4)), batch_class::not_batchable);
+TEST(SeedIndependent, GateMatchesTheEngineContract) {
+  using exp::seed_independent;
+  // Seeded schedules: every replica is its own execution.
+  EXPECT_FALSE(seed_independent(kk_cell("random", 64, 3, 0, 4)));
+  EXPECT_FALSE(seed_independent(kk_cell("random+crash", 64, 3, 2, 4)));
+  EXPECT_FALSE(seed_independent(kk_cell("random+crash:3/100", 64, 3, 2, 4)));
+  EXPECT_FALSE(seed_independent(kk_cell("block4", 64, 3, 0, 4)));
+  EXPECT_FALSE(seed_independent(kk_cell("block:7", 64, 3, 0, 4)));
   exp::run_spec base = kk_cell("round_robin", 64, 3, 0, 4);
-  EXPECT_EQ(cls(base), batch_class::replicate);
-  EXPECT_EQ(cls(kk_cell("stale_view", 64, 3, 0, 4)), batch_class::replicate);
-  EXPECT_EQ(cls(kk_cell("stale_view:100", 64, 3, 0, 4)),
-            batch_class::replicate);
-  EXPECT_EQ(cls(kk_cell("announce_crash", 64, 3, 2, 4)),
-            batch_class::replicate);
-  EXPECT_EQ(cls(kk_cell("scripted:s1 s2 s3", 64, 3, 0, 4)),
-            batch_class::replicate);
+  EXPECT_TRUE(seed_independent(base));
+  EXPECT_TRUE(seed_independent(kk_cell("stale_view", 64, 3, 0, 4)));
+  EXPECT_TRUE(seed_independent(kk_cell("stale_view:100", 64, 3, 0, 4)));
+  EXPECT_TRUE(seed_independent(kk_cell("announce_crash", 64, 3, 2, 4)));
+  EXPECT_TRUE(seed_independent(kk_cell("scripted:s1 s2 s3", 64, 3, 0, 4)));
 
-  // Fallback triggers: unknown names, malformed parameters, non-sim memory,
-  // trace recording, non-bitset free sets, non-kk families, ao2 with m != 2.
-  EXPECT_EQ(cls(kk_cell("no_such_adversary", 64, 3, 0, 4)),
-            batch_class::not_batchable);
-  EXPECT_EQ(cls(kk_cell("random+crash:3/0", 64, 3, 0, 4)),
-            batch_class::not_batchable);
-  EXPECT_EQ(cls(kk_cell("block:x", 64, 3, 0, 4)), batch_class::not_batchable);
-  EXPECT_EQ(cls(kk_cell("scripted:not a trace", 64, 3, 0, 4)),
-            batch_class::not_batchable);
+  // Fail-closed triggers: unknown names, malformed parameters, non-sim
+  // memory, trace recording, non-bitset free sets, non-kk families, ao2
+  // with m != 2, the OS-thread driver.
+  EXPECT_FALSE(seed_independent(kk_cell("no_such_adversary", 64, 3, 0, 4)));
+  EXPECT_FALSE(seed_independent(kk_cell("random+crash:3/0", 64, 3, 0, 4)));
+  EXPECT_FALSE(seed_independent(kk_cell("block:x", 64, 3, 0, 4)));
+  EXPECT_FALSE(seed_independent(kk_cell("scripted:not a trace", 64, 3, 0, 4)));
   exp::run_spec traced = base;
   traced.record_trace = true;
-  EXPECT_EQ(cls(traced), batch_class::not_batchable);
+  EXPECT_FALSE(seed_independent(traced));
   exp::run_spec atomic = base;
   atomic.memory = exp::memory_kind::atomic;
-  EXPECT_EQ(cls(atomic), batch_class::not_batchable);
+  EXPECT_FALSE(seed_independent(atomic));
   exp::run_spec fen = base;
   fen.free_set = exp::free_set_kind::fenwick;
-  EXPECT_EQ(cls(fen), batch_class::not_batchable);
+  EXPECT_FALSE(seed_independent(fen));
   exp::run_spec iter = base;
   iter.algo = exp::algo_family::iterative;
-  EXPECT_EQ(cls(iter), batch_class::not_batchable);
+  EXPECT_FALSE(seed_independent(iter));
   exp::run_spec ao2 = base;
   ao2.algo = exp::algo_family::ao2;
-  EXPECT_EQ(cls(ao2), batch_class::not_batchable);  // m == 3
+  EXPECT_FALSE(seed_independent(ao2));  // m == 3
   ao2.m = 2;
-  EXPECT_EQ(cls(ao2), batch_class::replicate);
+  EXPECT_TRUE(seed_independent(ao2));
   exp::run_spec threads = base;
   threads.driver = exp::driver_kind::os_threads;
-  EXPECT_EQ(cls(threads), batch_class::not_batchable);
+  EXPECT_FALSE(seed_independent(threads));
 }
 
-TEST(BatchParity, AdversaryZooAcrossWidths) {
-  // Every batchable (seed-independent) schedule, at widths 2, 7, and R
-  // (full block).
-  const std::vector<std::string> zoo = {"round_robin", "stale_view",
-                                        "stale_view:64", "announce_crash"};
-  for (const std::string& adv : zoo) {
-    const exp::run_spec cell = kk_cell(adv, 129, 3, 2, 9, 23);
-    for (const usize width : {usize{2}, usize{7}, usize{9}}) {
-      std::vector<usize> reps(width);
-      for (usize i = 0; i < width; ++i) reps[i] = i;
-      expect_block_matches_scalar(cell, reps);
-    }
+TEST(ReplicaParity, AdversaryZoo) {
+  // Every seed-independent schedule, 9 replicas a cell: the full list
+  // holds one block per cell, the slices strided subsets of each.
+  std::vector<exp::run_spec> cells;
+  for (const char* adv :
+       {"round_robin", "stale_view", "stale_view:64", "announce_crash"}) {
+    cells.push_back(kk_cell(adv, 129, 3, 2, 9, 23));
   }
+  expect_grid_matches_run(cells);
 }
 
-TEST(BatchParity, Ao2AndScriptedAndBigM) {
+TEST(ReplicaParity, Ao2AndScriptedAndBigM) {
+  std::vector<exp::run_spec> cells;
   // ao2 (the normalized two-process building block).
   exp::run_spec ao2 = kk_cell("announce_crash", 80, 2, 1, 6, 5);
   ao2.algo = exp::algo_family::ao2;
-  expect_block_matches_scalar(ao2, {0, 1, 2, 3, 4, 5});
-
-  // A scripted prefix (replicate path with a fallback tail).
-  const exp::run_spec scripted =
-      kk_cell("scripted:s1 s1 s2 c3 s2 s1", 40, 3, 1, 4, 9);
-  expect_block_matches_scalar(scripted, {0, 1, 2, 3});
-
+  cells.push_back(ao2);
+  // A scripted prefix (replicated, with a fallback tail).
+  cells.push_back(kk_cell("scripted:s1 s1 s2 c3 s2 s1", 40, 3, 1, 4, 9));
   // m >= 32 engages the word-parallel TRY paths.
-  const exp::run_spec wide = kk_cell("stale_view", 300, 33, 4, 4, 31);
-  expect_block_matches_scalar(wide, {0, 1, 2, 3});
-  const exp::run_spec wide_crash = kk_cell("announce_crash", 300, 33, 32, 3, 31);
-  expect_block_matches_scalar(wide_crash, {0, 1, 2});
+  cells.push_back(kk_cell("stale_view", 300, 33, 4, 4, 31));
+  cells.push_back(kk_cell("announce_crash", 300, 33, 32, 3, 31));
+  expect_grid_matches_run(cells);
 }
 
-TEST(BatchParity, StridedReplicaSubsets) {
-  // Shard slices hand the block non-consecutive replica indices; any
-  // ascending subset must match its scalar runs, echoed seeds included.
-  const exp::run_spec cell = kk_cell("announce_crash", 129, 3, 2, 12, 77);
-  expect_block_matches_scalar(cell, {0, 3, 6, 9});
-  expect_block_matches_scalar(cell, {1, 4, 7, 10});
-  expect_block_matches_scalar(cell, {2, 5, 11});
-  const exp::run_spec rr = kk_cell("round_robin", 129, 3, 0, 12, 77);
-  expect_block_matches_scalar(rr, {0, 5, 10});
+TEST(ReplicaParity, StridedReplicaSubsets) {
+  // Shard slices hand a block non-consecutive replica indices; any
+  // ascending subset must match its exp::run units, echoed seeds included.
+  const std::vector<exp::run_spec> cells = {
+      kk_cell("announce_crash", 129, 3, 2, 12, 77),
+      kk_cell("round_robin", 129, 3, 0, 12, 77)};
+  const auto subset = [](usize cell, std::vector<usize> replicas) {
+    std::vector<exp::unit_ref> units;
+    for (const usize r : replicas) {
+      units.push_back({.unit = cell * 12 + r,
+                       .cell = cell,
+                       .replica = r,
+                       .cell_replicas = 12});
+    }
+    return units;
+  };
+  svc::worker_pool pool(2);
+  expect_units_match_run(cells, subset(0, {0, 3, 6, 9}), pool);
+  expect_units_match_run(cells, subset(0, {1, 4, 7, 10}), pool);
+  expect_units_match_run(cells, subset(0, {2, 5, 11}), pool);
+  expect_units_match_run(cells, subset(1, {0, 5, 10}), pool);
+  expect_grid_matches_run(cells);
 }
 
-/// Mixed grid for the byte-identity sweeps: seeded (scalar) and seedless
-/// (replicated) kk cells, a non-batchable iterative cell, and an ao2 cell.
+/// Mixed grid for the byte-identity sweeps: seeded and seed-independent kk
+/// cells, an iterative cell, and an ao2 cell.
 std::vector<exp::run_spec> parity_grid() {
   std::vector<exp::run_spec> cells;
   cells.push_back(kk_cell("random", 129, 3, 2, 5));
@@ -222,41 +227,55 @@ std::vector<exp::run_spec> parity_grid() {
   return cells;
 }
 
-std::string aggregate_json(const std::vector<exp::run_spec>& cells,
-                           usize pool_size, const exp::batch_options& batch) {
-  exp::sweep_options opt;
-  opt.pool_size = pool_size;
-  const exp::sweep_result swept = exp::sweep(cells, opt, batch);
+std::string cell_records_json(const std::vector<exp::run_spec>& cells,
+                              const exp::sweep_result& swept) {
   exp::json_writer json;
   exp::add_cell_records(json, swept, exp::grid_fingerprint(cells),
                         /*include_timing=*/false);
   return json.dump();
 }
 
-TEST(BatchSweep, ByteIdenticalAcrossPoolSizesAndWidths) {
+/// The reference every sweep must reproduce: each unit through exp::run on
+/// its own, folded per cell.
+std::string reference_json(const std::vector<exp::run_spec>& cells) {
+  exp::sweep_result ref;
+  for (const exp::unit_ref& u : exp::shard_units(cells, {0, 1})) {
+    ref.reports.push_back(exp::run(exp::replica_spec(cells[u.cell], u.replica)));
+  }
+  usize first = 0;
+  for (const exp::run_spec& c : cells) {
+    exp::cell_report cr;
+    cr.first = first;
+    cr.replicas = exp::resolved_replicas(c);
+    cr.stats = exp::fold_replicas(
+        std::span<const exp::run_report>(ref.reports).subspan(first, cr.replicas));
+    first += cr.replicas;
+    ref.cells.push_back(cr);
+  }
+  return cell_records_json(cells, ref);
+}
+
+TEST(ReplicaSweep, ByteIdenticalAcrossPoolSizes) {
   const std::vector<exp::run_spec> cells = parity_grid();
-  // Scalar serial run is the reference.
-  const std::string ref = aggregate_json(cells, 1, {.batch_replicas = 0});
+  const std::string ref = reference_json(cells);
   for (const usize pool : {usize{1}, usize{2}, usize{0}}) {
-    for (const usize width :
-         {usize{0}, usize{1}, usize{2}, usize{3}, exp::batch_auto}) {
-      EXPECT_EQ(ref, aggregate_json(cells, pool, {.batch_replicas = width}))
-          << "pool " << pool << " width " << width;
-    }
+    exp::sweep_options opt;
+    opt.pool_size = pool;
+    EXPECT_EQ(ref, cell_records_json(cells, exp::sweep(cells, opt)))
+        << "pool " << pool;
   }
 }
 
-TEST(BatchSweep, ShardedUnitsMergeByteIdenticallyWithBatchingOn) {
+TEST(ReplicaSweep, ShardedUnitsMergeByteIdentically) {
   const std::vector<exp::run_spec> cells = parity_grid();
-  const std::string reference = aggregate_json(cells, 1, {.batch_replicas = 0});
+  const std::string reference = reference_json(cells);
   svc::worker_pool pool(2);
   for (const usize k : {usize{2}, usize{3}, usize{5}}) {
     std::vector<std::vector<exp::record>> shards;
     for (usize i = 0; i < k; ++i) {
       const std::vector<exp::unit_ref> units =
           exp::shard_units(cells, {i, k});
-      const exp::unit_run_result ur =
-          exp::run_units(cells, units, pool, exp::batch_options{});
+      const exp::unit_run_result ur = exp::run_units(cells, units, pool);
       exp::json_writer json;
       exp::add_unit_records(json, ur.reports, units, exp::unit_count(cells),
                             cells.size(), exp::grid_fingerprint(cells),
@@ -271,13 +290,13 @@ TEST(BatchSweep, ShardedUnitsMergeByteIdenticallyWithBatchingOn) {
   }
 }
 
-TEST(BatchSweep, ThrowingCellStillFailsAndOthersComplete) {
-  // A batchable grid with one bad cell: the block throw must surface after
-  // the drain exactly like the scalar sweep contract.
+TEST(ReplicaSweep, ThrowingCellStillFailsAndOthersComplete) {
+  // A grid with one bad cell: the throw must surface after the drain,
+  // exactly like every other unit's.
   std::vector<exp::run_spec> cells = parity_grid();
   cells.push_back(kk_cell("no_such_adversary", 32, 2, 0, 3));
   EXPECT_THROW(exp::sweep(cells, exp::sweep_options{1}), std::invalid_argument);
-  // Malformed parameterized name inside a *replicated* class throws too.
+  // A malformed parameterized name of a seed-independent type throws too.
   std::vector<exp::run_spec> bad_script = {
       kk_cell("scripted:not a trace", 32, 2, 0, 3)};
   EXPECT_THROW(exp::sweep(bad_script, exp::sweep_options{1}),

@@ -432,7 +432,6 @@ TEST(SvcServe, StallWatchdogCancelsTheBatchAndClassifiesTheTimeout) {
   j.params.m = 3;
   j.params.seeds = 1;
   j.params.replicas = 3;  // units 2 and 3 queue behind the stalling first
-  j.batch = 0;            // scalar units: one pool task per replica
   j.no_timing = true;
   j.out = temp_path("stall_out.json");
 

@@ -1,8 +1,8 @@
 // Tests for the simulation engine itself: scheduler step/crash mechanics,
 // adversary behaviors, step limits, fairness of round-robin. The fail-closed
 // checks run through both instantiations of the one scheduler loop: the
-// type-erased one exp::run uses (automaton × sim::adversary) and the concrete
-// one the replica block uses (kk_process × a final adversary type).
+// type-erased one (automaton × sim::adversary) and the concrete one
+// exp::run binds for seeded KK runs (kk_process × a final adversary type).
 #include <gtest/gtest.h>
 
 #include <memory>

@@ -195,6 +195,10 @@ TEST(BatchFuzz, MalformedLinesReportTheirLineNumber) {
     EXPECT_NE(r.error.find("line 3"), std::string::npos) << r.error;
     EXPECT_TRUE(r.jobs.empty());
   }
+  // batch= (a replica-block width) is not part of the grammar.
+  const svc::job_parse_result r = svc::parse_batch("kk/random batch=4\n");
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("unknown key 'batch='"), std::string::npos) << r.error;
 }
 
 TEST(BatchFuzz, RandomLinesNeverCrashTheParser) {
@@ -240,20 +244,29 @@ TEST(BatchFuzz, JobLineRoundTripsThroughItsCanonicalForm) {
   j.params.eps_inv = 3;
   j.params.seed = 42;
   j.params.seeds = 4;
+  j.params.replicas = 6;
   j.scheduled_only = true;
   j.no_timing = true;
   j.have_shard = true;
   j.shard = {2, 5};
   j.out = "some/dir/file.json";
+  svc::job colfmt = j;
+  colfmt.have_format = true;
+  colfmt.format = exp::record_format::colfmt;
+  colfmt.out = "some/dir/file.amoc";
 
-  svc::job parsed;
-  bool has_job = false;
-  std::string error;
-  ASSERT_TRUE(svc::parse_job_line(svc::to_line(j), 1, parsed, has_job, error))
-      << error;
-  ASSERT_TRUE(has_job);
-  parsed.line = 0;
-  EXPECT_EQ(parsed, j);
+  for (const svc::job& want : {j, colfmt}) {
+    SCOPED_TRACE(svc::to_line(want));
+    svc::job parsed;
+    bool has_job = false;
+    std::string error;
+    ASSERT_TRUE(
+        svc::parse_job_line(svc::to_line(want), 1, parsed, has_job, error))
+        << error;
+    ASSERT_TRUE(has_job);
+    parsed.line = 0;
+    EXPECT_EQ(parsed, want);
+  }
 }
 
 TEST(BatchFuzz, BlankAndCommentLinesAreSkipped) {

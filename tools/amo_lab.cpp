@@ -214,7 +214,6 @@ using namespace amo;
 struct cli_options {
   exp::scenario_params params;
   usize pool = 0;
-  usize batch = exp::batch_auto;  ///< replica-block width (0 = scalar)
   std::string out;
   bool no_timing = false;
   bool check = false;
@@ -288,12 +287,6 @@ bool parse_args(int argc, char** argv, int first, cli_options& opt) {
         count("--retries", opt.retries) || count("--pool", opt.pool) ||
         count("--shards", opt.shards)) {
       if (!count_ok) return false;
-    } else if (parse_kv(a, "--batch-replicas", &v)) {
-      if (std::strcmp(v, "auto") == 0) {
-        opt.batch = exp::batch_auto;
-      } else if (!parse_count("--batch-replicas", v, opt.batch)) {
-        return false;
-      }
     } else if (parse_kv(a, "--shard", &v)) {
       if (!exp::parse_shard(v, opt.shard)) {
         std::fprintf(stderr, "bad shard '%s': want i/k with 0 <= i < k\n", v);
@@ -428,8 +421,7 @@ void usage(std::FILE* to) {
       "  help                           this text\n"
       "\n"
       "options: --n=N --m=M --beta=B --eps=K --seed=S --seeds=R\n"
-      "         --replicas=R --pool=P --batch-replicas=auto|0|N\n"
-      "         --shard=i/k --scheduled-only\n"
+      "         --replicas=R --pool=P --shard=i/k --scheduled-only\n"
       "         --out=FILE --format=json|colfmt --no-timing --check --quiet\n"
       "         --trace-out=FILE (Perfetto-loadable Chrome-trace timeline;\n"
       "         out-of-band: record output stays byte-identical)\n"
@@ -480,7 +472,6 @@ svc::job job_from_options(const cli_options& opt) {
   j.no_timing = opt.no_timing;
   j.have_shard = opt.have_shard;
   j.shard = opt.shard;
-  j.batch = opt.batch;
   j.out = opt.out;
   j.have_format = opt.have_format;
   j.format = opt.format;
@@ -758,6 +749,30 @@ int cmd_serve(const cli_options& opt) {
   return sum.exit_code();
 }
 
+/// The job fields on which `a` and `b` differ, comma-separated.
+std::string differing_fields(const svc::job& a, const svc::job& b) {
+  std::string out;
+  const auto check = [&out](bool same, const char* field) {
+    if (same) return;
+    if (!out.empty()) out += ", ";
+    out += field;
+  };
+  check(a.scenarios == b.scenarios, "scenarios");
+  check(a.params.n == b.params.n, "n=");
+  check(a.params.m == b.params.m, "m=");
+  check(a.params.beta == b.params.beta, "beta=");
+  check(a.params.eps_inv == b.params.eps_inv, "eps=");
+  check(a.params.seed == b.params.seed, "seed=");
+  check(a.params.seeds == b.params.seeds, "seeds=");
+  check(a.params.replicas == b.params.replicas, "replicas=");
+  check(a.scheduled_only == b.scheduled_only, "scheduled-only");
+  check(a.no_timing == b.no_timing, "no-timing");
+  check(a.have_shard == b.have_shard && a.shard == b.shard, "shard=");
+  check(a.out == b.out, "out=");
+  check(a.have_format == b.have_format && a.format == b.format, "format=");
+  return out;
+}
+
 int cmd_submit(const cli_options& opt) {
   if (opt.names.empty()) {
     std::fprintf(stderr, "submit: name at least one scenario (see amo_lab list)\n");
@@ -769,14 +784,24 @@ int cmd_submit(const cli_options& opt) {
       return 2;
     }
   }
-  const std::string line = svc::to_line(job_from_options(opt));
-  // Round-trip through the parser so a job that serve would reject can
-  // never be submitted in the first place.
+  const svc::job built = job_from_options(opt);
+  const std::string line = svc::to_line(built);
+  // Round-trip through the parser so a job that serve would reject, or
+  // read back as a different job, can never be submitted.
   svc::job parsed;
   bool has_job = false;
   std::string error;
   if (!svc::parse_job_line(line, 1, parsed, has_job, error) || !has_job) {
     std::fprintf(stderr, "submit: %s\n", error.c_str());
+    return 2;
+  }
+  parsed.line = built.line;
+  if (parsed != built) {
+    std::fprintf(stderr,
+                 "submit: the job line reads back as a different job "
+                 "(differs in: %s; a value cannot hold whitespace or '#'): "
+                 "%s\n",
+                 differing_fields(built, parsed).c_str(), line.c_str());
     return 2;
   }
   if (opt.to.empty()) {
@@ -848,9 +873,6 @@ int cmd_dispatch(const cli_options& opt, const char* argv0) {
   args += buf;
   if (opt.scheduled_only) args += " --scheduled-only";
   if (opt.no_timing) args += " --no-timing";
-  if (opt.batch != exp::batch_auto) {
-    args += " --batch-replicas=" + std::to_string(opt.batch);
-  }
   args += " --quiet";
 
   svc::dispatch_options dopt;
